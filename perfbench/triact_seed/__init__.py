@@ -1,0 +1,20 @@
+"""Numerics for nonlocality activation in tripartite quantum networks."""
+
+from .channels import (KrausChannel, apply, local_decohere, make_ad, make_d,
+                       make_depolarizing, make_erasure, make_pd,
+                       weyl_operators)
+from .criteria import (Classification, CorrelationMatrix, chsh_value,
+                       classify, correlation_matrix, hashing_criterion,
+                       horodecki_m, maximize_chsh)
+from .harness import ExperimentConfig, ExperimentRecord, run
+from .protocols import (ProtocolOutcome, bell_state,
+                        build_symmetric_extension, double_teleport,
+                        eq2_mixture, erased_protocol, teleport_distribution,
+                        verify_locality_observation)
+from .qcore import (DensityMatrix, PureState, eigvalsh, fidelity_pure,
+                    partial_trace, project_and_condition, tensor,
+                    von_neumann_entropy)
+from .states import (RngSeed, erased, isotropic, max_entangled,
+                     random_mixed_hs, random_pure_fs)
+
+__version__ = "0.1.0"

@@ -1,0 +1,183 @@
+"""Quantum channels in operator-sum form.
+
+Covers the three single-qubit decoherence processes (amplitude damping,
+phase damping, depolarization) on a strength parameter t in [0, 1], the
+d-dimensional depolarizing channel whose Choi state is the isotropic
+state, and the qubit-to-qutrit erasure channel whose Choi state is the
+erased state.
+
+The printed phase-damping operators (sqrt(t) I, sqrt(1-t) sigma_z) act
+as the identity at t = 1 and as a unitary flip at t = 0, which inverts
+the meaning of t used everywhere else.  The default here is the standard
+family sqrt(1 - t/2) I, sqrt(t/2) sigma_z (identity at t = 0, full
+dephasing at t = 1); ``make_pd(t, verbatim=True)`` keeps the other
+parametrization available for comparison.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .criteria import PAULI
+from .qcore import DensityMatrix, PureState, ValidationError, embed_operator
+
+COMPLETENESS_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    """A finite set of Kraus operators satisfying sum E_i^dag E_i = I."""
+
+    kraus_ops: tuple
+    label: str = "custom"
+    strength: float | None = None
+
+    def __post_init__(self):
+        ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus_ops)
+        if not ops:
+            raise ValidationError("channel needs at least one Kraus operator")
+        d_in = ops[0].shape[1]
+        if any(e.ndim != 2 or e.shape[1] != d_in for e in ops):
+            raise ValidationError("Kraus operators disagree on input dimension")
+        s = sum(e.conj().T @ e for e in ops)
+        if np.max(np.abs(s - np.eye(d_in))) > COMPLETENESS_TOL:
+            raise ValidationError("completeness relation violated")
+        for e in ops:
+            e.flags.writeable = False
+        object.__setattr__(self, "kraus_ops", ops)
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus_ops[0].shape[1]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus_ops[0].shape[0]
+
+
+def _check_t(t: float):
+    if not 0 <= t <= 1:
+        raise ValueError(f"strength t must lie in [0, 1], got {t}")
+
+
+def make_ad(t: float) -> KrausChannel:
+    """Amplitude damping: decay |1> -> |0> with probability t."""
+    _check_t(t)
+    e0 = np.array([[1, 0], [0, np.sqrt(1 - t)]], dtype=complex)
+    e1 = np.array([[0, np.sqrt(t)], [0, 0]], dtype=complex)
+    return KrausChannel((e0, e1), label="AD", strength=t)
+
+
+def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
+    """Phase damping.
+
+    Default: rho' = (1 - t/2) rho + (t/2) sigma_z rho sigma_z, so the
+    off-diagonal elements shrink by (1 - t).  Verbatim mode uses the
+    alternative operators sqrt(t) I, sqrt(1 - t) sigma_z instead.
+    """
+    _check_t(t)
+    if verbatim:
+        ops = (np.sqrt(t) * np.eye(2), np.sqrt(1 - t) * PAULI[2])
+        return KrausChannel(ops, label="PD_verbatim", strength=t)
+    ops = (np.sqrt(1 - t / 2) * np.eye(2), np.sqrt(t / 2) * PAULI[2])
+    return KrausChannel(ops, label="PD", strength=t)
+
+
+def make_d(t: float) -> KrausChannel:
+    """Qubit depolarization: rho' = (1 - t) rho + t I/2."""
+    _check_t(t)
+    ops = (np.sqrt(1 - 3 * t / 4) * np.eye(2),) + tuple(
+        np.sqrt(t / 4) * s for s in PAULI)
+    return KrausChannel(ops, label="D", strength=t)
+
+
+def make_depolarizing(p: float, d: int) -> KrausChannel:
+    """d-dimensional depolarizing channel Lambda_p(s) = p s + (1 - p) I/d.
+
+    Its Choi state (one half of |Psi_+^d> sent through) is the isotropic
+    state at the same p.  Kraus operators: the weighted identity plus the
+    d^2 Heisenberg-Weyl unitaries.
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    ws = weyl_operators(d)
+    q = (1 - p) / d**2
+    ops = [np.sqrt(p + q) * np.eye(d)]
+    ops += [np.sqrt(q) * w for w in ws[1:]]
+    return KrausChannel(tuple(ops), label="depolarizing_d", strength=p)
+
+
+def make_erasure(k: float) -> KrausChannel:
+    """Qubit-to-qutrit erasure: survive on levels {0,1} with probability
+    1/k, else land in the flag level |2>."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    keep = np.zeros((3, 2), dtype=complex)
+    keep[0, 0] = keep[1, 1] = np.sqrt(1 / k)
+    lose0 = np.zeros((3, 2), dtype=complex)
+    lose0[2, 0] = np.sqrt(1 - 1 / k)
+    lose1 = np.zeros((3, 2), dtype=complex)
+    lose1[2, 1] = np.sqrt(1 - 1 / k)
+    return KrausChannel((keep, lose0, lose1), label="erasure", strength=k)
+
+
+def weyl_operators(d: int):
+    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(omega ** np.arange(d))
+    out = []
+    for a in range(d):
+        for b in range(d):
+            out.append(np.linalg.matrix_power(x, a)
+                       @ np.linalg.matrix_power(z, b))
+    return out
+
+
+def apply(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
+    """Apply the channel to one subsystem of a composite state."""
+    if rho.dims[subsystem] != ch.dim_in:
+        raise ValueError(
+            f"channel input dim {ch.dim_in} != subsystem dim "
+            f"{rho.dims[subsystem]}")
+    new_dims = list(rho.dims)
+    new_dims[subsystem] = ch.dim_out
+    out = None
+    for e in ch.kraus_ops:
+        # d_out x d_in operators need the rectangular embedding: act on the
+        # reshaped tensor leg directly.
+        t = rho.matrix.reshape(list(rho.dims) * 2)
+        t = np.tensordot(e, t, axes=([1], [subsystem]))
+        t = np.moveaxis(t, 0, subsystem)
+        t = np.tensordot(e.conj(), t,
+                         axes=([1], [len(rho.dims) + subsystem]))
+        t = np.moveaxis(t, 0, len(rho.dims) + subsystem)
+        term = t.reshape(int(np.prod(new_dims)), int(np.prod(new_dims)))
+        out = term if out is None else out + term
+    return DensityMatrix.cleaned(out, tuple(new_dims))
+
+
+def local_decohere(psi: PureState, make_channel, t: float) -> DensityMatrix:
+    """Send both qubits of a two-qubit pure state through the same
+    single-qubit channel at strength t."""
+    if psi.dims != (2, 2):
+        raise ValueError(f"expected a two-qubit pure state, got {psi.dims}")
+    ch = make_channel(t)
+    rho = psi.density_matrix()
+    return apply(ch, apply(ch, rho, 0), 1)
+
+
+def two_qubit_kraus_stack(make_channel, ts) -> np.ndarray:
+    """Stacked two-qubit Kraus operators E_i (x) E_j over a grid of t.
+
+    Shape (len(ts), k^2, 4, 4); used to vectorize decoherence sweeps.
+    """
+    stacks = []
+    for t in ts:
+        ops = make_channel(t).kraus_ops
+        stacks.append([np.kron(a, b) for a in ops for b in ops])
+    return np.array(stacks)

@@ -1,0 +1,424 @@
+"""Monte Carlo experiment driver.
+
+Every experiment is deterministic given its config: state ``i`` always
+draws from the Philox stream ``(seed, i)``, so results do not depend on
+the number of workers or their scheduling, and aggregation is
+order-insensitive.  Records are written ordered by state index with a
+fixed float format, which makes CSV output byte-identical across runs.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import channels, criteria, protocols
+from .criteria import Classification
+from .qcore import PureState, fidelity_pure, partial_trace
+from .states import RngSeed, erased, isotropic, max_entangled, \
+    random_mixed_hs, random_pure_fs
+
+EXPERIMENTS = ("census", "decoherence_sweep", "protocol_verify",
+               "extension_verify", "iso_curve")
+CHANNELS = {
+    "AD": channels.make_ad,
+    "PD": channels.make_pd,
+    "PD_verbatim": lambda t: channels.make_pd(t, verbatim=True),
+    "D": channels.make_d,
+}
+
+CENSUS_FIELDS = ("state_index", "m_value", "chsh_max", "s_a", "s_b", "s_ab",
+                 "violates_chsh", "hashing_distillable", "nonlocal_resource")
+SWEEP_FIELDS = ("state_index", "activated", "t_start", "t_end", "width",
+                "span_width", "multi_interval", "n_nlr_steps")
+
+
+class HarnessIOError(OSError):
+    """Output could not be written; partial files are removed."""
+
+
+@dataclass
+class ExperimentConfig:
+    experiment: str = "census"
+    n_states: int = 100_000
+    n_time_steps: int = 200
+    channel: str = "AD"
+    seed: int = 0
+    output_path: str | None = None
+    output_format: str = "csv"
+    threads: int = 1
+    k: float = 3.0
+    p: float = 0.9
+    d: int = 2
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.n_states < 1:
+            raise ValueError("n_states must be >= 1")
+        if self.experiment == "decoherence_sweep" and self.n_time_steps < 2:
+            raise ValueError("sweeps need n_time_steps >= 2")
+        if self.channel not in CHANNELS:
+            raise ValueError(f"unknown channel {self.channel!r}")
+        if self.output_format not in ("csv", "json"):
+            raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+
+
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    return f"{float(x):.12g}"
+
+
+def _write_output(path: str, fmt: str, fields, records, summary):
+    try:
+        if fmt == "csv":
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(fields)
+                for rec in records:
+                    writer.writerow([_fmt(rec[f]) for f in fields])
+                for key in sorted(summary):
+                    writer.writerow([f"# {key}", _fmt(summary[key])])
+        else:
+            payload = {
+                "records": [
+                    {f: (None if rec[f] is None
+                         else bool(rec[f]) if isinstance(rec[f], (bool, np.bool_))
+                         else float(rec[f]) if isinstance(rec[f], (float, np.floating))
+                         else int(rec[f]))
+                     for f in fields}
+                    for rec in records
+                ],
+                "summary": {k: (float(v) if isinstance(v, (float, np.floating))
+                                else v) for k, v in summary.items()},
+            }
+            with open(path, "w") as fh:
+                json.dump(payload, fh, indent=1)
+                fh.write("\n")
+    except OSError as exc:
+        if os.path.exists(path):
+            os.remove(path)
+        raise HarnessIOError(f"cannot write {path}: {exc}") from exc
+
+
+def _maybe_write(cfg: ExperimentConfig, fields, records, summary):
+    if cfg.output_path:
+        _write_output(cfg.output_path, cfg.output_format, fields, records,
+                      summary)
+
+
+def _chunks(n: int, size: int = 4096):
+    for lo in range(0, n, size):
+        yield range(lo, min(lo + size, n))
+
+
+def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):
+    """Map worker over index chunks, in processes when threads > 1."""
+    chunk_args = [args_for(idx) for idx in _chunks(n)]
+    if cfg.threads == 1:
+        return [worker(*a) for a in chunk_args]
+    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(worker, *zip(*chunk_args)))
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One decoherence trajectory with per-step classification."""
+
+    state_index: int
+    seed_used: RngSeed
+    per_step: tuple  # of (t, Classification)
+    activation_interval: tuple | None  # (t_start, t_end) on the grid
+
+
+def sweep_trajectory(cfg: ExperimentConfig, state_index: int) -> ExperimentRecord:
+    """Fully classified trajectory of a single sweep state."""
+    seed = RngSeed(cfg.seed, state_index)
+    psi = random_pure_fs(4, seed, dims=(2, 2))
+    ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
+    steps = []
+    nlr = []
+    for t in ts:
+        rho = channels.local_decohere(psi, CHANNELS[cfg.channel], float(t))
+        cls = criteria.classify(rho)
+        steps.append((float(t), cls))
+        nlr.append(cls.nonlocal_resource)
+    hits = np.flatnonzero(nlr)
+    interval = None
+    if hits.size:
+        interval = (float(ts[hits[0]]), float(ts[hits[-1]]))
+    return ExperimentRecord(state_index, seed, tuple(steps), interval)
+
+
+# ---------------------------------------------------------------- census
+
+def _census_chunk(seed: int, indices):
+    mats = np.stack([
+        random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2)).matrix
+        for i in indices
+    ])
+    return criteria.classify_batch(mats)
+
+
+def run_census(cfg: ExperimentConfig):
+    """Classify n_states Hilbert-Schmidt-random two-qubit states."""
+    parts = _run_chunked(_census_chunk, lambda idx: (cfg.seed, list(idx)),
+                         cfg, cfg.n_states)
+    cols = {f: np.concatenate([p[f] for p in parts])
+            for f in parts[0]}
+    n = cfg.n_states
+    no_viol = int(np.sum(~cols["violates_chsh"]))
+    nlr = int(np.sum(cols["nonlocal_resource"]))
+
+    def frac_se(count):
+        f = count / n
+        return f, math.sqrt(max(f * (1 - f), 0.0) / n)
+
+    f_nv, se_nv = frac_se(no_viol)
+    f_nlr, se_nlr = frac_se(nlr)
+    f_cond = nlr / no_viol if no_viol else 0.0
+    summary = {
+        "n_states": n,
+        "frac_no_chsh_violation": f_nv,
+        "frac_no_chsh_violation_se": se_nv,
+        "frac_nlr_of_all": f_nlr,
+        "frac_nlr_of_all_se": se_nlr,
+        "frac_nlr_of_nonviolating": f_cond,
+    }
+    records = [
+        {"state_index": i, **{f: cols[f][i] for f in cols}}
+        for i in range(n)
+    ]
+    _maybe_write(cfg, CENSUS_FIELDS, records, summary)
+    return summary
+
+
+# ----------------------------------------------------------------- sweep
+
+def _sweep_chunk(seed: int, indices, channel: str, n_steps: int):
+    ts = np.linspace(0.0, 1.0, n_steps)
+    ops = channels.two_qubit_kraus_stack(CHANNELS[channel], ts)
+    ops_c = ops.conj()
+    out = []
+    for i in indices:
+        psi = random_pure_fs(4, RngSeed(seed, i), dims=(2, 2))
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        rho_t = np.einsum("tkab,bc,tkdc->tad", ops, rho, ops_c, optimize=True)
+        flags = criteria.classify_batch(rho_t)["nonlocal_resource"]
+        out.append(flags)
+    return np.stack(out)
+
+
+def _interval_record(i: int, flags: np.ndarray, ts: np.ndarray) -> dict:
+    dt = ts[1] - ts[0]
+    hits = np.flatnonzero(flags)
+    if hits.size == 0:
+        return {"state_index": i, "activated": False, "t_start": None,
+                "t_end": None, "width": 0.0, "span_width": 0.0,
+                "multi_interval": False, "n_nlr_steps": 0}
+    t_start, t_end = ts[hits[0]], ts[hits[-1]]
+    span = (t_end - t_start) + dt
+    contiguous = hits.size == hits[-1] - hits[0] + 1
+    return {
+        "state_index": i,
+        "activated": True,
+        "t_start": t_start,
+        "t_end": t_end,
+        # total measure: counts the occupied grid cells, equals the span
+        # convention when the hit set is contiguous
+        "width": hits.size * dt,
+        "span_width": span,
+        "multi_interval": not contiguous,
+        "n_nlr_steps": int(hits.size),
+    }
+
+
+def run_decoherence_sweep(cfg: ExperimentConfig):
+    """Locally decohere FS-random pure states over a t grid and track the
+    interval where they are nonlocal resources."""
+    ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
+    parts = _run_chunked(
+        _sweep_chunk,
+        lambda idx: (cfg.seed, list(idx), cfg.channel, cfg.n_time_steps),
+        cfg, cfg.n_states)
+    flags = np.concatenate(parts, axis=0)
+    records = [_interval_record(i, flags[i], ts) for i in range(cfg.n_states)]
+    widths = np.array([r["width"] for r in records])
+    activated = np.array([r["activated"] for r in records])
+    n_act = int(activated.sum())
+    act_widths = widths[activated] if n_act else np.zeros(1)
+    summary = {
+        "n_states": cfg.n_states,
+        "n_time_steps": cfg.n_time_steps,
+        "channel": cfg.channel,
+        "pct_nlr_states": 100.0 * n_act / cfg.n_states,
+        "mean_interval_width_activated": float(act_widths.mean()),
+        "std_interval_width_activated": float(act_widths.std()),
+        "mean_interval_width_all": float(widths.mean()),
+        "std_interval_width_all": float(widths.std()),
+        "n_multi_interval": int(sum(r["multi_interval"] for r in records)),
+    }
+    _maybe_write(cfg, SWEEP_FIELDS, records, summary)
+    return summary
+
+
+# ------------------------------------------------------ protocol checks
+
+def _check(name, residual, tol):
+    return {"name": name, "residual": float(residual), "tol": tol,
+            "passed": bool(residual <= tol)}
+
+
+def run_protocol_verify(cfg: ExperimentConfig):
+    """Structural residual checks on the activation protocols."""
+    rng = np.random.default_rng(cfg.seed)
+    checks = []
+
+    # Double-teleport conditional state vs the four-term mixture.
+    for d in (2, 3):
+        worst = 0.0
+        for _ in range(5):
+            phi = _random_pure(rng, d)
+            p = rng.uniform(0, 1)
+            got = protocols.double_teleport(phi, p, d, (0, 0))
+            want = protocols.eq2_mixture(phi, p, d)
+            worst = max(worst, float(np.max(np.abs(
+                got.conditional_state.matrix - want.matrix))))
+        checks.append(_check(f"eq2_mixture_residual_d{d}", worst, 1e-10))
+
+    # Noiseless teleportation returns phi exactly.
+    phi = max_entangled(2)
+    out = protocols.double_teleport(phi, 1.0, 2, (0, 0))
+    checks.append(_check("teleport_p1_fidelity",
+                         abs(1 - fidelity_pure(out.conditional_state, phi)),
+                         1e-10))
+
+    # Activated CHSH through the protocol follows 2 sqrt(2) p^2.
+    worst = 0.0
+    for p in np.linspace(0, 1, 11):
+        got = protocols.double_teleport(max_entangled(2), p, 2, (0, 0))
+        chsh = 2 * math.sqrt(criteria.horodecki_m(got.conditional_state))
+        worst = max(worst, abs(chsh - 2 * math.sqrt(2) * p * p))
+    checks.append(_check("activated_chsh_vs_2sqrt2_p2", worst, 1e-9))
+
+    # Erased protocol: success probabilities and Bell fidelities.
+    k = cfg.k
+    prob_err, fid_err, chsh_err = 0.0, 0.0, 0.0
+    for b in range(4):
+        out = protocols.erased_protocol(k, bell_outcome=b)
+        prob_err = max(prob_err,
+                       abs(out.success_probability - 1 / (4 * k * k)))
+        best = max(fidelity_pure(out.conditional_state,
+                                 protocols.bell_state(2, j)) for j in range(4))
+        fid_err = max(fid_err, abs(1 - best))
+        chsh = 2 * math.sqrt(criteria.horodecki_m(out.conditional_state))
+        chsh_err = max(chsh_err, abs(chsh - 2 * math.sqrt(2)))
+    checks.append(_check("erased_success_probability", prob_err, 1e-12))
+    checks.append(_check("erased_bell_fidelity", fid_err, 1e-10))
+    checks.append(_check("erased_conditional_chsh", chsh_err, 1e-9))
+
+    # Eq. (3) decomposition residual for random POVMs.
+    povm = _projective_povm(rng, 2)
+    dist = protocols.teleport_distribution(max_entangled(2), cfg.p, 2,
+                                           povm, _projective_povm(rng, 2))
+    checks.append(_check("teleport_distribution_residual", dist.residual,
+                         1e-10))
+
+    summary = {
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
+    }
+    if cfg.output_path:
+        try:
+            with open(cfg.output_path, "w") as fh:
+                json.dump(summary, fh, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            raise HarnessIOError(
+                f"cannot write {cfg.output_path}: {exc}") from exc
+    return summary
+
+
+def _random_pure(rng, d: int):
+    v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    return PureState((d, d), v / np.linalg.norm(v))
+
+
+def _projective_povm(rng, d: int):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    return [np.outer(q[:, i], q[:, i].conj()) for i in range(d)]
+
+
+def run_extension_verify(cfg: ExperimentConfig):
+    """Check that every (A, B_i) marginal of the extension is erased(k)."""
+    checks = []
+    ks = [int(cfg.k)] if 2 <= cfg.k <= protocols.MAX_EXTENSION_K else [2, 3, 4]
+    for k in ks:
+        ext = protocols.build_symmetric_extension(k)
+        target = erased(k).matrix
+        worst = 0.0
+        for i in range(1, k + 1):
+            marg = partial_trace(ext, {0, i}).matrix
+            worst = max(worst, float(np.max(np.abs(marg - target))))
+        checks.append(_check(f"extension_marginals_k{k}", worst, 1e-12))
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+
+
+# -------------------------------------------------------------- iso curve
+
+ISO_CURVE_FIELDS = ("p", "m_value", "chsh_max", "hashing_margin",
+                    "activated_chsh")
+
+
+def run_iso_curve(cfg: ExperimentConfig):
+    """Nonlocality quantities of the two-qubit isotropic state on a
+    201-point p grid, with the activated CHSH value computed through the
+    double-teleportation protocol rather than the closed form."""
+    records = []
+    phi = max_entangled(2)
+    for p in np.linspace(0.0, 1.0, 201):
+        rho = isotropic(p, 2)
+        cls = criteria.classify(rho)
+        out = protocols.double_teleport(phi, float(p), 2, (0, 0))
+        act = 2 * math.sqrt(criteria.horodecki_m(out.conditional_state))
+        records.append({
+            "p": float(p),
+            "m_value": cls.m_value,
+            "chsh_max": cls.chsh_max,
+            "hashing_margin": max(cls.s_a, cls.s_b) - cls.s_ab,
+            "activated_chsh": act,
+        })
+    crossing = next((r["p"] for r in records if r["activated_chsh"] > 2),
+                    None)
+    summary = {"activated_crossing_p": crossing}
+    _maybe_write(cfg, ISO_CURVE_FIELDS, records, summary)
+    return {"records": records, **summary}
+
+
+RUNNERS = {
+    "census": run_census,
+    "decoherence_sweep": run_decoherence_sweep,
+    "protocol_verify": run_protocol_verify,
+    "extension_verify": run_extension_verify,
+    "iso_curve": run_iso_curve,
+}
+
+
+def run(cfg: ExperimentConfig):
+    return RUNNERS[cfg.experiment](cfg)

@@ -1,0 +1,254 @@
+"""Tripartite activation protocols.
+
+Three parties share two copies of a bipartite state, the middle party
+(Bob) measures both of his subsystems, and the conditional state left
+between the outer parties (Alice and Charlie) is examined.  If that
+conditional state violates CHSH for some outcome, the parent state was
+nonlocal, since conditioning a local state can only yield local states.
+
+Protocols implemented: double teleportation through a pair of isotropic
+states, the two-step measurement on a pair of erased states, and the
+explicit symmetric extension that certifies the erased state's
+single-copy locality against k measurements on B.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channels import weyl_operators
+from .criteria import TIE_TOLERANCE, horodecki_m
+from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
+                    project_and_condition, tensor)
+from .states import erased, isotropic, max_entangled
+
+# Largest local dimension for the teleportation protocol (total d^6) and
+# largest copy count for the symmetric extension (total 2 * 3^k).
+MAX_TELEPORT_D = 3
+MAX_EXTENSION_K = 4
+
+
+@dataclass(frozen=True)
+class ProtocolOutcome:
+    success_probability: float
+    conditional_state: DensityMatrix | None
+    outcome_labels: tuple
+
+
+def bell_state(d: int, index: int) -> PureState:
+    """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
+    if not 0 <= index < d * d:
+        raise ValueError(f"Bell index {index} out of range for d={d}")
+    w = weyl_operators(d)[index]
+    psi = max_entangled(d).amplitudes.reshape(d, d)
+    return PureState((d, d), (psi @ w.T).reshape(-1))
+
+
+def _bell_projector(d: int, index: int) -> np.ndarray:
+    v = bell_state(d, index).amplitudes
+    return np.outer(v, v.conj())
+
+
+def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
+                    apply_correction: bool = False) -> ProtocolOutcome:
+    """Teleport both halves of |phi> through isotropic states.
+
+    The network state is iso(p)_{A B1} (x) |phi><phi|_{F1 F2} (x)
+    iso(p)_{B2 C}; Bob Bell-measures the pairs (B1, F1) and (F2, B2) and
+    the Alice-Charlie conditional state for the requested outcome pair is
+    returned.  With ``apply_correction`` the standard teleportation
+    corrections are applied so every branch carries |phi> itself; without
+    it, the (0, 0) (i.e. Psi_+, Psi_+) branch does.
+    """
+    if d > MAX_TELEPORT_D or d < 2:
+        raise DimensionError(f"d={d} outside supported range [2, {MAX_TELEPORT_D}]")
+    if phi.dims != (d, d):
+        raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
+    out1, out2 = bell_outcome
+    iso = isotropic(p, d)
+    # Subsystem order: A, B1, F1, F2, B2, C.
+    full = tensor(iso, phi.density_matrix(), iso)
+    ws = weyl_operators(d)
+    # Bell basis carries the Weyl on the prepared-state slot of each pair:
+    # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
+    v1 = (max_entangled(d).amplitudes.reshape(d, d) @ ws[out1].T).reshape(-1)
+    v2 = (ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)).reshape(-1)
+    proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
+    prob, cond = project_and_condition(full, proj, (1, 2, 3, 4))
+    if cond is None:
+        return ProtocolOutcome(0.0, None, (out1, out2))
+    ac = partial_trace(cond, {0, 5})
+    if apply_correction:
+        # Post-measurement, Alice holds W1^dag phi_1 and Charlie W2^dag
+        # phi_2 on the entangled component; undo with W1 (x) W2.
+        u = np.kron(ws[out1], ws[out2])
+        ac = DensityMatrix(ac.dims, u @ ac.matrix @ u.conj().T)
+    return ProtocolOutcome(prob, ac, (out1, out2))
+
+
+def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
+    """The four-term conditional-state mixture for the Psi_+ branch:
+    p^2 |phi><phi| + p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C)
+    + (1-p)^2 I/d (x) I/d."""
+    rho_phi = phi.density_matrix()
+    sigma_a = partial_trace(rho_phi, {0}).matrix
+    sigma_c = partial_trace(rho_phi, {1}).matrix
+    eye = np.eye(d) / d
+    mat = (p**2 * rho_phi.matrix
+           + p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
+           + (1 - p)**2 * np.kron(eye, eye))
+    return DensityMatrix((d, d), mat)
+
+
+@dataclass(frozen=True)
+class TeleportDistribution:
+    joint: np.ndarray
+    p_phi: np.ndarray
+    p_loc: np.ndarray
+    phi_weight: float
+    residual: float
+
+
+def _check_povm(ops, d: int):
+    mats = [np.asarray(o, dtype=complex) for o in ops]
+    total = np.zeros((d, d), dtype=complex)
+    for m in mats:
+        if m.shape != (d, d) or np.max(np.abs(m - m.conj().T)) > 1e-10:
+            raise ValueError("POVM elements must be Hermitian d x d matrices")
+        if np.linalg.eigvalsh(m)[0] < -1e-10:
+            raise ValueError("POVM elements must be PSD")
+        total += m
+    if np.max(np.abs(total - np.eye(d))) > 1e-10:
+        raise ValueError("POVM elements must sum to the identity")
+    return mats
+
+
+def _joint_table(rho_mat: np.ndarray, alice, charlie, d: int) -> np.ndarray:
+    table = np.empty((len(alice), len(charlie)))
+    for i, a in enumerate(alice):
+        for j, c in enumerate(charlie):
+            table[i, j] = np.trace(np.kron(a, c) @ rho_mat).real
+    return table
+
+
+def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
+                          charlie_povm) -> TeleportDistribution:
+    """Joint outcome distribution on the double-teleported state.
+
+    Decomposes as p^2 P_phi + (1 - p^2) P_loc, with P_phi the same
+    measurement on |phi><phi| and P_loc a mixture of product
+    distributions (hence local).
+    """
+    alice = _check_povm(alice_povm, d)
+    charlie = _check_povm(charlie_povm, d)
+    rho_f = double_teleport(phi, p, d, (0, 0)).conditional_state
+    joint = _joint_table(rho_f.matrix, alice, charlie, d)
+    p_phi = _joint_table(phi.density_matrix().matrix, alice, charlie, d)
+    rho_phi = phi.density_matrix()
+    sigma_a = partial_trace(rho_phi, {0}).matrix
+    sigma_c = partial_trace(rho_phi, {1}).matrix
+    eye = np.eye(d) / d
+    if 1 - p**2 > 1e-15:
+        loc_mat = (p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
+                   + (1 - p)**2 * np.kron(eye, eye)) / (1 - p**2)
+    else:
+        loc_mat = np.kron(eye, eye)
+    p_loc = _joint_table(loc_mat, alice, charlie, d)
+    residual = float(np.max(np.abs(joint - p**2 * p_phi - (1 - p**2) * p_loc)))
+    return TeleportDistribution(joint, p_phi, p_loc, p**2, residual)
+
+
+# Projector onto the unerased qubit subspace of a qutrit (M_B^0); its
+# complement |2><2| is M_B^1.
+M_B0 = np.diag([1.0, 1.0, 0.0]).astype(complex)
+M_B1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+
+
+def _erased_pair_state(k: float) -> DensityMatrix:
+    """erased(k)_{A B1} (x) erased(k)_{B2 C}, Bob holding both qutrits."""
+    ab = erased(k)
+    # Second copy with the qutrit first: permute the (2, 3) state to (3, 2).
+    t = ab.matrix.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
+    ba = DensityMatrix((3, 2), t)
+    return tensor(ab, ba)
+
+
+def erased_protocol(k: float, bell_outcome: int = 0,
+                    b_outcomes=(0, 0)) -> ProtocolOutcome:
+    """Two-step measurement on a pair of erased states.
+
+    Bob first measures {M_B^0, M_B^1} on both qutrits B1, B2; on the
+    double-M_B^0 branch (probability 1/k^2) he Bell-measures the
+    surviving qubit pair, leaving Alice and Charlie maximally entangled
+    for every outcome.  ``b_outcomes`` selects the first-step results; a
+    1 on either side ends the protocol there.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0 <= bell_outcome < 4:
+        raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
+    full = _erased_pair_state(k)  # dims (2, 3, 3, 2): A, B1, B2, C
+    proj1 = np.kron(M_B0 if b_outcomes[0] == 0 else M_B1,
+                    M_B0 if b_outcomes[1] == 0 else M_B1)
+    prob1, cond = project_and_condition(full, proj1, (1, 2))
+    if cond is None:
+        return ProtocolOutcome(0.0, None, tuple(b_outcomes))
+    if b_outcomes != (0, 0):
+        ac = partial_trace(cond, {0, 3})
+        return ProtocolOutcome(prob1, ac, tuple(b_outcomes))
+    # Bell measurement on (B1, B2), embedded in the qutrit pair.
+    bp = _bell_projector(2, bell_outcome)
+    embed = np.zeros((9, 9), dtype=complex)
+    qubit_idx = [r * 3 + c for r in (0, 1) for c in (0, 1)]
+    embed[np.ix_(qubit_idx, qubit_idx)] = bp
+    prob2, cond2 = project_and_condition(cond, embed, (1, 2))
+    if cond2 is None:
+        return ProtocolOutcome(0.0, None, tuple(b_outcomes) + (bell_outcome,))
+    ac = partial_trace(cond2, {0, 3})
+    return ProtocolOutcome(prob1 * prob2, ac,
+                           tuple(b_outcomes) + (bell_outcome,))
+
+
+def build_symmetric_extension(k: int) -> DensityMatrix:
+    """Explicit (k+1)-party state whose every (A, B_i) marginal is erased(k).
+
+    rho = (1/k) sum_i Bell(A, B_i) (x) |2><2| on the other B's; the Bobs
+    are exchangeable by construction.
+    """
+    if not 2 <= k <= MAX_EXTENSION_K:
+        raise DimensionError(f"k={k} outside supported range [2, {MAX_EXTENSION_K}]")
+    dims = (2,) + (3,) * k
+    total = 2 * 3**k
+    mat = np.zeros((total, total), dtype=complex)
+    for i in range(k):
+        psi = np.zeros(total, dtype=complex)
+        for q in (0, 1):
+            vec = np.zeros(2)
+            vec[q] = 1.0  # |q> on A
+            for j in range(k):
+                lev = q if j == i else 2
+                e = np.zeros(3)
+                e[lev] = 1.0
+                vec = np.kron(vec, e)
+            psi += vec / np.sqrt(2)
+        mat += np.outer(psi, psi.conj()) / k
+    return DensityMatrix(dims, mat)
+
+
+def verify_locality_observation(rho: DensityMatrix, proj, proj_subsystems,
+                                cut) -> bool:
+    """Certify a multipartite state nonlocal by conditioning.
+
+    Projects ``rho`` on the given outcome, reduces to the two-qubit cut,
+    and reports whether the conditional state violates CHSH.  A True
+    result certifies the parent state nonlocal; False is inconclusive.
+    """
+    prob, cond = project_and_condition(rho, proj, proj_subsystems)
+    if cond is None:
+        return False
+    reduced = partial_trace(cond, cut)
+    if reduced.dims != (2, 2):
+        raise ValueError(f"cut must select two qubits, got dims {reduced.dims}")
+    return horodecki_m(reduced) > 1 + TIE_TOLERANCE

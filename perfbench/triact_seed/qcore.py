@@ -1,0 +1,256 @@
+"""Dense complex-matrix foundation for finite-dimensional quantum states.
+
+States are plain numpy arrays wrapped in light validated containers.
+Subsystem ordering convention: ``dims[0]`` is the leftmost (most
+significant) tensor factor, so the flat basis index of ``|i0 i1 ...>`` is
+``i0 * d1 * d2 * ... + i1 * d2 * ... + ...`` and ``tensor(a, b)`` is
+``np.kron(a, b)``.  All subsystem embeddings in this package follow that
+convention.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import reduce
+from typing import Iterable, Sequence
+
+import numpy as np
+
+# Validation tolerances for state containers.
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+NORM_TOL = 1e-12
+
+# Largest total Hilbert-space dimension we allow to be built.
+MAX_TOTAL_DIM = 4096
+
+
+class DimensionError(ValueError):
+    """Subsystem dimensions are inconsistent or exceed the configured cap."""
+
+
+class ValidationError(ValueError):
+    """A matrix fails a structural requirement (Hermiticity, PSD, ...)."""
+
+
+def _as_complex_matrix(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValidationError(f"expected a 2-d matrix, got shape {a.shape}")
+    return a
+
+
+def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    a = _as_complex_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix is not square: {a.shape}")
+    dev = np.max(np.abs(a - a.conj().T))
+    if dev > tol:
+        raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    return a
+
+
+@dataclass(frozen=True)
+class PureState:
+    """Normalized state vector over an ordered list of subsystem dimensions."""
+
+    dims: tuple
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "amplitudes", amps)
+        if any(d < 1 for d in dims):
+            raise DimensionError(f"invalid dims {dims}")
+        total = int(np.prod(dims))
+        if amps.size != total:
+            raise DimensionError(
+                f"amplitude length {amps.size} != product of dims {total}")
+        norm2 = float(np.vdot(amps, amps).real)
+        if abs(norm2 - 1.0) > NORM_TOL:
+            raise ValidationError(f"state not normalized: ||psi||^2 = {norm2}")
+        amps.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.size
+
+    def density_matrix(self) -> "DensityMatrix":
+        return DensityMatrix(self.dims, np.outer(self.amplitudes,
+                                                 self.amplitudes.conj()))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, PSD, unit-trace matrix over registered subsystem dims."""
+
+    dims: tuple
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        dims = tuple(int(d) for d in self.dims)
+        object.__setattr__(self, "dims", dims)
+        if any(d < 1 for d in dims):
+            raise DimensionError(f"invalid dims {dims}")
+        total = int(np.prod(dims))
+        if total > MAX_TOTAL_DIM:
+            raise DimensionError(
+                f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
+        m = require_hermitian(self.matrix)
+        if m.shape != (total, total):
+            raise DimensionError(
+                f"matrix shape {m.shape} != ({total}, {total}) from dims {dims}")
+        tr = complex(np.trace(m))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValidationError(f"trace is {tr}, expected 1")
+        lo = float(np.linalg.eigvalsh(m)[0])
+        if lo < -PSD_TOL:
+            raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
+        object.__setattr__(self, "matrix", m)
+        m.flags.writeable = False
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    @classmethod
+    def from_pure(cls, psi: PureState) -> "DensityMatrix":
+        return psi.density_matrix()
+
+    @classmethod
+    def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":
+        """Build a state after numerical hygiene.
+
+        Re-Hermitizes via (m + m^dag)/2, clips eigenvalues in
+        [-PSD_TOL, 0) to zero and renormalizes the trace.  Negativity
+        beyond the tolerance is a real error, not noise, and raises.
+        """
+        m = _as_complex_matrix(matrix)
+        m = (m + m.conj().T) / 2
+        w, v = np.linalg.eigh(m)
+        if w[0] < -PSD_TOL:
+            raise ValidationError(
+                f"cannot clean: min eigenvalue {w[0]:.3e} below -{PSD_TOL}")
+        w = np.clip(w, 0.0, None)
+        m = (v * w) @ v.conj().T
+        m = (m + m.conj().T) / 2
+        tr = float(np.trace(m).real)
+        if tr <= 0:
+            raise ValidationError("cannot clean: non-positive trace")
+        return cls(tuple(dims), m / tr)
+
+
+def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of states; dims concatenate in argument order."""
+    factors = (a, b) + rest
+    dims = tuple(d for f in factors for d in f.dims)
+    total = int(np.prod(dims))
+    if total > MAX_TOTAL_DIM:
+        raise DimensionError(
+            f"tensor result dimension {total} exceeds cap {MAX_TOTAL_DIM}")
+    mat = reduce(np.kron, (f.matrix for f in factors))
+    return DensityMatrix(dims, mat)
+
+
+def tensor_pure(a: PureState, b: PureState) -> PureState:
+    return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Trace out every subsystem not in ``keep``; kept order is preserved."""
+    keep = sorted(set(int(i) for i in keep))
+    n = len(rho.dims)
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if any(i < 0 or i >= n for i in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    dims = list(rho.dims)
+    t = rho.matrix.reshape(dims + dims)
+    traced = [i for i in range(n) if i not in keep]
+    for idx in sorted(traced, reverse=True):
+        t = np.trace(t, axis1=idx, axis2=idx + len(dims))
+        dims.pop(idx)
+    d = int(np.prod(dims))
+    return DensityMatrix(tuple(dims), t.reshape(d, d))
+
+
+def eigvalsh(m, eigenvectors: bool = False):
+    """Eigenvalues of a Hermitian matrix in descending order.
+
+    With ``eigenvectors=True`` also returns the matching eigenvector
+    columns.  Raises ValidationError for non-Hermitian input.
+    """
+    a = require_hermitian(m)
+    if eigenvectors:
+        w, v = np.linalg.eigh(a)
+        order = np.argsort(w)[::-1]
+        return w[order], v[:, order]
+    return np.linalg.eigvalsh(a)[::-1]
+
+
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """S(rho) = -Tr(rho log2 rho), in bits; 0 log 0 := 0."""
+    w = np.linalg.eigvalsh(rho.matrix)
+    w = w[w > 1e-14]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def embed_operator(op, subsystems: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """Embed an operator acting on ``subsystems`` into the full space.
+
+    ``op`` acts on the listed subsystems in their given (ascending)
+    order; identities fill the rest.
+    """
+    subsystems = [int(s) for s in subsystems]
+    dims = [int(d) for d in dims]
+    if sorted(subsystems) != subsystems:
+        raise ValueError("subsystems must be given in ascending order")
+    if any(s < 0 or s >= len(dims) for s in subsystems):
+        raise ValueError(f"subsystem indices {subsystems} out of range")
+    op = _as_complex_matrix(op)
+    d_sub = int(np.prod([dims[s] for s in subsystems]))
+    if op.shape != (d_sub, d_sub):
+        raise DimensionError(
+            f"operator shape {op.shape} != ({d_sub}, {d_sub}) for subsystems")
+    n = len(dims)
+    total = int(np.prod(dims))
+    others = [i for i in range(n) if i not in subsystems]
+    eye = np.eye(int(np.prod([dims[i] for i in others], initial=1)))
+    # op (x) I on ordering (subsystems, others), axes permuted back to
+    # the dims ordering.
+    order = subsystems + others
+    t = np.kron(op, eye).reshape([dims[i] for i in order] * 2)
+    perm = [order.index(i) for i in range(n)]
+    t = t.transpose(perm + [p + n for p in perm])
+    return np.ascontiguousarray(t.reshape(total, total))
+
+
+def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
+    """Condition ``rho`` on a projector on the given subsystems.
+
+    Returns ``(probability, conditional_state)``.  When the outcome
+    probability is below 1e-12 the state slot is None (zero-probability
+    marker).
+    """
+    p = require_hermitian(proj)
+    if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
+        raise ValidationError("projector is not idempotent")
+    full = embed_operator(p, subsystems, rho.dims)
+    out = full @ rho.matrix @ full.conj().T
+    prob = float(np.trace(out).real)
+    if prob < 1e-12:
+        return 0.0, None
+    return prob, DensityMatrix.cleaned(out / prob, rho.dims)
+
+
+def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
+    """<psi| rho |psi>."""
+    if rho.dims != psi.dims:
+        raise DimensionError(f"dims mismatch: {rho.dims} vs {psi.dims}")
+    val = float(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real)
+    if not -1e-10 <= val <= 1 + 1e-10:
+        raise ValidationError(f"fidelity {val} outside [0, 1]")
+    return val

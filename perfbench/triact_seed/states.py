@@ -1,0 +1,99 @@
+"""Named state constructors and random-state samplers.
+
+Sampling uses counter-based Philox streams keyed by ``(seed,
+stream_index)`` so that Monte Carlo work can be partitioned
+deterministically across workers: stream ``i`` always yields the same
+draws no matter which worker runs it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .qcore import DensityMatrix, PureState
+
+
+@dataclass(frozen=True)
+class RngSeed:
+    """A (seed, stream_index) pair that fully determines a sample stream."""
+
+    seed: int
+    stream_index: int = 0
+
+    def generator(self) -> np.random.Generator:
+        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+
+def max_entangled(d: int) -> PureState:
+    """|Psi_+^d> = sum_i |ii> / sqrt(d)."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    amps = np.zeros(d * d, dtype=complex)
+    amps[:: d + 1] = 1 / np.sqrt(d)
+    return PureState((d, d), amps)
+
+
+def isotropic(p: float, d: int = 2) -> DensityMatrix:
+    """Maximally entangled state mixed with white noise.
+
+    rho = p |Psi_+^d><Psi_+^d| + (1 - p) I / d^2.
+    """
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    psi = max_entangled(d)
+    mat = p * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    mat += (1 - p) * np.eye(d * d) / d**2
+    return DensityMatrix((d, d), mat)
+
+
+def bell_pair_qutrit_embedded() -> DensityMatrix:
+    """|Psi_+^2><Psi_+^2| as a qubit (x) qutrit state (levels {0,1} of B)."""
+    mat = np.zeros((6, 6), dtype=complex)
+    # |00> -> index 0, |11> -> index 4 in the 2x3 layout.
+    for i in (0, 4):
+        for j in (0, 4):
+            mat[i, j] = 0.5
+    return DensityMatrix((2, 3), mat)
+
+
+def erased(k: float) -> DensityMatrix:
+    """Qubit-qutrit state of a Bell pair sent through an erasure channel.
+
+    With probability 1/k the pair survives on B-levels {0, 1}; otherwise
+    B is left in the flag level |2> and A maximally mixed.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    mat = bell_pair_qutrit_embedded().matrix / k
+    lost = np.kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
+    return DensityMatrix((2, 3), mat + (1 - 1 / k) * lost)
+
+
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
+    """Hilbert-Schmidt-random mixed state via the square Ginibre construction.
+
+    rho = G G^dag / Tr(G G^dag) with G a d x d matrix of independent
+    standard complex Gaussian entries.
+    """
+    if d_total < 2:
+        raise ValueError(f"d_total must be >= 2, got {d_total}")
+    g = _complex_gaussian(rng.generator(), (d_total, d_total))
+    m = g @ g.conj().T
+    return DensityMatrix(dims if dims is not None else (d_total,),
+                         m / np.trace(m).real)
+
+
+def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
+    """Fubini-Study-random pure state: normalized complex Gaussian vector."""
+    if d_total < 2:
+        raise ValueError(f"d_total must be >= 2, got {d_total}")
+    v = _complex_gaussian(rng.generator(), d_total)
+    return PureState(dims if dims is not None else (d_total,),
+                     v / np.linalg.norm(v))
