@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import DensityMatrix, PureState, ValidationError, embed_operator
+from .qcore import DensityMatrix, PureState, ValidationError
 
 COMPLETENESS_TOL = 1e-10
 

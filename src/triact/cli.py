@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the harness experiments.  A flat
-``key = value`` config file can seed any flag; explicit flags win.
-Exit codes: 0 success, 1 verification failure, 2 bad arguments,
-3 I/O error.
+Subcommands map one-to-one onto the harness experiments, and each takes
+only the flags its experiment reads.  A flat ``key = value`` config file
+can seed those flags; explicit flags win.  Exit codes: 0 success,
+1 verification failure, 2 bad arguments, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -16,12 +16,34 @@ from .harness import ExperimentConfig, HarnessIOError, run
 
 CHANNEL_FLAGS = {"ad": "AD", "pd": "PD", "pd-verbatim": "PD_verbatim",
                  "d": "D"}
+
+# Flag / config key -> (ExperimentConfig field, parser of the text form,
+# argparse options of the flag).
+_FIELD_SPEC = {
+    "n_states": ("n_states", int, {"type": int}),
+    "steps": ("n_time_steps", int,
+              {"type": int, "help": "time steps for sweeps"}),
+    "channel": ("channel", lambda s: CHANNEL_FLAGS.get(s, s),
+                {"choices": sorted(CHANNEL_FLAGS)}),
+    "seed": ("seed", int, {"type": int}),
+    "out": ("output_path", str, {}),
+    "format": ("output_format", str, {"choices": ("csv", "json")}),
+    "threads": ("threads", int, {"type": int}),
+    "k": ("k", float, {"type": float}),
+    "p": ("p", float, {"type": float}),
+}
+
+# Subcommand -> (experiment, the keys it reads, ExperimentConfig defaults
+# that differ for it).
 SUBCOMMANDS = {
-    "census": "census",
-    "sweep": "decoherence_sweep",
-    "verify": "protocol_verify",
-    "iso-curve": "iso_curve",
-    "extension": "extension_verify",
+    "census": ("census", ("n_states", "seed", "out", "format", "threads"),
+               {}),
+    "sweep": ("decoherence_sweep", ("n_states", "steps", "channel", "seed",
+                                    "out", "format", "threads"),
+              {"n_states": 2000}),
+    "verify": ("protocol_verify", ("seed", "k", "p", "out"), {}),
+    "iso-curve": ("iso_curve", ("out", "format"), {}),
+    "extension": ("extension_verify", ("k",), {}),
 }
 
 
@@ -44,58 +66,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="triact",
         description="Tripartite nonlocality-activation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, keys, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None,
                        help="flat key = value file; flags override it")
-        p.add_argument("--n-states", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None,
-                       help="time steps for sweeps")
-        p.add_argument("--channel", choices=sorted(CHANNEL_FLAGS),
-                       default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--d", type=int, default=None)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), default=None,
+                           **_FIELD_SPEC[key][2])
     return parser
 
 
-# Maps CLI/config names to ExperimentConfig fields and parsers.
-_FIELD_SPEC = {
-    "n_states": ("n_states", int),
-    "steps": ("n_time_steps", int),
-    "channel": ("channel", lambda s: CHANNEL_FLAGS.get(s, s)),
-    "seed": ("seed", int),
-    "out": ("output_path", str),
-    "format": ("output_format", str),
-    "threads": ("threads", int),
-    "k": ("k", float),
-    "p": ("p", float),
-    "d": ("d", int),
-}
-
-# Per-experiment defaults where they differ from the dataclass ones.
-_DEFAULTS = {
-    "decoherence_sweep": {"n_states": 2000, "n_time_steps": 200},
-}
-
-
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
-    experiment = SUBCOMMANDS[args.command]
-    values = dict(_DEFAULTS.get(experiment, {}))
+    """Config from the file and flags.  A file may name any known key, so
+    that one file serves several subcommands; keys this subcommand does
+    not read are ignored."""
+    experiment, keys, defaults = SUBCOMMANDS[args.command]
+    values = dict(defaults)
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in _FIELD_SPEC:
                 raise ValueError(f"unknown config key {key!r}")
-            field, parse = _FIELD_SPEC[key]
-            values[field] = parse(raw)
-    for key, (field, parse) in _FIELD_SPEC.items():
-        flag = getattr(args, key, None)
+            if key in keys:
+                field, parse, _ = _FIELD_SPEC[key]
+                values[field] = parse(raw)
+    for key in keys:
+        flag = getattr(args, key)
         if flag is not None:
-            values[field] = parse(flag) if isinstance(flag, str) else flag
+            field, parse, _ = _FIELD_SPEC[key]
+            values[field] = parse(flag)
     return ExperimentConfig(experiment=experiment, **values)
 
 

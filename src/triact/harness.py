@@ -9,7 +9,9 @@ fixed float format, which makes CSV output byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -40,14 +42,14 @@ SWEEP_FIELDS = ("state_index", "activated", "t_start", "t_end", "width",
 
 
 class HarnessIOError(OSError):
-    """Output could not be written; partial files are removed."""
+    """Output could not be written; the target was left as it was."""
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str = "census"
     n_states: int = 100_000
-    n_time_steps: int = 200
+    n_time_steps: int = 1000
     channel: str = "AD"
     seed: int = 0
     output_path: str | None = None
@@ -55,7 +57,6 @@ class ExperimentConfig:
     threads: int = 1
     k: float = 3.0
     p: float = 0.9
-    d: int = 2
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -64,6 +65,10 @@ class ExperimentConfig:
             raise ValueError("n_states must be >= 1")
         if self.experiment == "decoherence_sweep" and self.n_time_steps < 2:
             raise ValueError("sweeps need n_time_steps >= 2")
+        if self.experiment == "protocol_verify" and not 0 <= self.p <= 1:
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if self.experiment == "protocol_verify" and not self.k >= 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.output_format not in ("csv", "json"):
@@ -84,42 +89,48 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_output(path: str, fmt: str, fields, records, summary):
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a new file next to ``path``, then move it onto
+    ``path``: the target holds either all of ``text`` or what it held
+    before, and the new file never outlives a failure."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(fields)
-                for rec in records:
-                    writer.writerow([_fmt(rec[f]) for f in fields])
-                for key in sorted(summary):
-                    writer.writerow([f"# {key}", _fmt(summary[key])])
-        else:
-            payload = {
-                "records": [
-                    {f: (None if rec[f] is None
-                         else bool(rec[f]) if isinstance(rec[f], (bool, np.bool_))
-                         else float(rec[f]) if isinstance(rec[f], (float, np.floating))
-                         else int(rec[f]))
-                     for f in fields}
-                    for rec in records
-                ],
-                "summary": {k: (float(v) if isinstance(v, (float, np.floating))
-                                else v) for k, v in summary.items()},
-            }
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=1)
-                fh.write("\n")
-    except OSError as exc:
-        if os.path.exists(path):
-            os.remove(path)
-        raise HarnessIOError(f"cannot write {path}: {exc}") from exc
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise HarnessIOError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
-def _maybe_write(cfg: ExperimentConfig, fields, records, summary):
-    if cfg.output_path:
-        _write_output(cfg.output_path, cfg.output_format, fields, records,
-                      summary)
+def _write_records(cfg: ExperimentConfig, fields, records, summary):
+    if cfg.output_format == "json":
+        payload = {
+            "records": [
+                {f: (None if rec[f] is None
+                     else bool(rec[f]) if isinstance(rec[f], (bool, np.bool_))
+                     else float(rec[f]) if isinstance(rec[f], (float, np.floating))
+                     else int(rec[f]))
+                 for f in fields}
+                for rec in records
+            ],
+            "summary": {k: (float(v) if isinstance(v, (float, np.floating))
+                            else v) for k, v in summary.items()},
+        }
+        text = json.dumps(payload, indent=1) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(fields)
+        for rec in records:
+            writer.writerow([_fmt(rec[f]) for f in fields])
+        for key in sorted(summary):
+            writer.writerow([f"# {key}", _fmt(summary[key])])
+        text = buf.getvalue()
+    _write_atomic(cfg.output_path, text)
 
 
 def _chunks(n: int, size: int = 4096):
@@ -200,11 +211,12 @@ def run_census(cfg: ExperimentConfig):
         "frac_nlr_of_all_se": se_nlr,
         "frac_nlr_of_nonviolating": f_cond,
     }
-    records = [
-        {"state_index": i, **{f: cols[f][i] for f in cols}}
-        for i in range(n)
-    ]
-    _maybe_write(cfg, CENSUS_FIELDS, records, summary)
+    if cfg.output_path:
+        records = [
+            {"state_index": i, **{f: cols[f][i] for f in cols}}
+            for i in range(n)
+        ]
+        _write_records(cfg, CENSUS_FIELDS, records, summary)
     return summary
 
 
@@ -273,7 +285,8 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
         "std_interval_width_all": float(widths.std()),
         "n_multi_interval": int(sum(r["multi_interval"] for r in records)),
     }
-    _maybe_write(cfg, SWEEP_FIELDS, records, summary)
+    if cfg.output_path:
+        _write_records(cfg, SWEEP_FIELDS, records, summary)
     return summary
 
 
@@ -344,13 +357,7 @@ def run_protocol_verify(cfg: ExperimentConfig):
         "all_passed": all(c["passed"] for c in checks),
     }
     if cfg.output_path:
-        try:
-            with open(cfg.output_path, "w") as fh:
-                json.dump(summary, fh, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise HarnessIOError(
-                f"cannot write {cfg.output_path}: {exc}") from exc
+        _write_atomic(cfg.output_path, json.dumps(summary, indent=1) + "\n")
     return summary
 
 
@@ -407,7 +414,8 @@ def run_iso_curve(cfg: ExperimentConfig):
     crossing = next((r["p"] for r in records if r["activated_chsh"] > 2),
                     None)
     summary = {"activated_crossing_p": crossing}
-    _maybe_write(cfg, ISO_CURVE_FIELDS, records, summary)
+    if cfg.output_path:
+        _write_records(cfg, ISO_CURVE_FIELDS, records, summary)
     return {"records": records, **summary}
 
 

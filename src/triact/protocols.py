@@ -73,7 +73,7 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     ws = weyl_operators(d)
     # Bell basis carries the Weyl on the prepared-state slot of each pair:
     # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
-    v1 = (max_entangled(d).amplitudes.reshape(d, d) @ ws[out1].T).reshape(-1)
+    v1 = bell_state(d, out1).amplitudes
     v2 = (ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)).reshape(-1)
     proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
     prob, cond = project_and_condition(full, proj, (1, 2, 3, 4))
@@ -125,7 +125,7 @@ def _check_povm(ops, d: int):
     return mats
 
 
-def _joint_table(rho_mat: np.ndarray, alice, charlie, d: int) -> np.ndarray:
+def _joint_table(rho_mat: np.ndarray, alice, charlie) -> np.ndarray:
     table = np.empty((len(alice), len(charlie)))
     for i, a in enumerate(alice):
         for j, c in enumerate(charlie):
@@ -144,8 +144,8 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
     alice = _check_povm(alice_povm, d)
     charlie = _check_povm(charlie_povm, d)
     rho_f = double_teleport(phi, p, d, (0, 0)).conditional_state
-    joint = _joint_table(rho_f.matrix, alice, charlie, d)
-    p_phi = _joint_table(phi.density_matrix().matrix, alice, charlie, d)
+    joint = _joint_table(rho_f.matrix, alice, charlie)
+    p_phi = _joint_table(phi.density_matrix().matrix, alice, charlie)
     rho_phi = phi.density_matrix()
     sigma_a = partial_trace(rho_phi, {0}).matrix
     sigma_c = partial_trace(rho_phi, {1}).matrix
@@ -155,7 +155,7 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
                    + (1 - p)**2 * np.kron(eye, eye)) / (1 - p**2)
     else:
         loc_mat = np.kron(eye, eye)
-    p_loc = _joint_table(loc_mat, alice, charlie, d)
+    p_loc = _joint_table(loc_mat, alice, charlie)
     residual = float(np.max(np.abs(joint - p**2 * p_phi - (1 - p**2) * p_loc)))
     return TeleportDistribution(joint, p_phi, p_loc, p**2, residual)
 

@@ -117,10 +117,6 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density_matrix()
-
-    @classmethod
     def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":
         """Build a state after numerical hygiene.
 
@@ -153,10 +149,6 @@ def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityM
             f"tensor result dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     mat = reduce(np.kron, (f.matrix for f in factors))
     return DensityMatrix(dims, mat)
-
-
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    return PureState(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:

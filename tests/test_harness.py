@@ -1,12 +1,14 @@
 import csv
+import errno
 import json
 import math
 
 import numpy as np
 import pytest
 
+from triact import harness
 from triact.cli import main as cli_main
-from triact.harness import (ExperimentConfig, run_census,
+from triact.harness import (ExperimentConfig, HarnessIOError, run_census,
                             run_decoherence_sweep, run_extension_verify,
                             run_iso_curve, run_protocol_verify,
                             sweep_trajectory, _interval_record)
@@ -174,12 +176,59 @@ def test_cli_bad_arguments_exit_2():
     assert exc.value.code == 2
     cfg_missing = cli_main(["census", "--config", "/nonexistent/file.cfg"])
     assert cfg_missing == 2
+    # flags a subcommand does not read, and --d, which none takes
+    for argv in (["census", "--steps", "5"], ["sweep", "--k", "2"],
+                 ["verify", "--n-states", "5"],
+                 ["iso-curve", "--seed", "5", "--d", "7", "--threads", "3",
+                  "--n-states", "9"],
+                 ["extension", "--out", "x.json"], ["census", "--d", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+    assert cli_main(["verify", "--p", "2"]) == 2
+    assert cli_main(["verify", "--k", "0.5"]) == 2
 
 
-def test_cli_io_error_exit_3(capsys):
+def test_cli_io_error_exit_3(tmp_path, capsys):
     code = cli_main(["census", "--n-states", "10",
                      "--out", "/nonexistent-dir/x.csv"])
     assert code == 3
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    assert cli_main(["census", "--n-states", "10", "--out", str(target)]) == 3
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
+    """An OSError partway through a write leaves the file at the target
+    byte-identical and no temp file behind."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def half_write(text):
+            write(text[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = half_write
+        return fh
+
+    targets = {"verify.json": lambda path: run_protocol_verify(
+                   ExperimentConfig(experiment="protocol_verify",
+                                    output_path=path)),
+               "census.csv": lambda path: run_census(census_cfg(
+                   n_states=20, output_path=path))}
+    for name, experiment in targets.items():
+        target = tmp_path / name
+        target.write_bytes(b"previous\n")
+        monkeypatch.setattr(harness, "open", failing_open, raising=False)
+        with pytest.raises(HarnessIOError):
+            experiment(str(target))
+        monkeypatch.undo()
+        assert target.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
+    experiment(str(target))
+    assert target.read_text().startswith("state_index,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
 
 
 def test_json_and_csv_agree(tmp_path):
