@@ -16,6 +16,7 @@ parametrization available for comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +126,18 @@ def make_erasure(k: float) -> KrausChannel:
     return KrausChannel((keep, lose0, lose1), label="erasure", strength=k)
 
 
-def weyl_operators(d: int):
-    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
+@functools.lru_cache(maxsize=8)
+def weyl_operators(d: int) -> tuple:
+    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b);
+    built once per d and shared, hence read-only."""
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))
-    out = []
-    for a in range(d):
-        for b in range(d):
-            out.append(np.linalg.matrix_power(x, a)
-                       @ np.linalg.matrix_power(z, b))
-    return out
+    ws = tuple(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+               for a in range(d) for b in range(d))
+    for w in ws:
+        w.flags.writeable = False
+    return ws
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:

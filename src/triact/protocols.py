@@ -24,8 +24,8 @@ from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
                     project_and_condition, tensor)
 from .states import erased, isotropic, max_entangled
 
-# Largest local dimension for the teleportation protocol (total d^6) and
-# largest copy count for the symmetric extension (total 2 * 3^k).
+# Largest local dimension for the teleportation protocol (the dimensions
+# its checks cover) and largest copy count for the extension (2 * 3^k).
 MAX_TELEPORT_D = 3
 MAX_EXTENSION_K = 4
 
@@ -61,31 +61,38 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     returned.  With ``apply_correction`` the standard teleportation
     corrections are applied so every branch carries |phi> itself; without
     it, the (0, 0) (i.e. Psi_+, Psi_+) branch does.
+
+    The projection is contracted leg by leg, without the d^6 network
+    state, and stays independent of the closed form ``eq2_mixture``.
     """
     if d > MAX_TELEPORT_D or d < 2:
         raise DimensionError(f"d={d} outside supported range [2, {MAX_TELEPORT_D}]")
     if phi.dims != (d, d):
         raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
     out1, out2 = bell_outcome
-    iso = isotropic(p, d)
-    # Subsystem order: A, B1, F1, F2, B2, C.
-    full = tensor(iso, phi.density_matrix(), iso)
+    if not all(0 <= out < d * d for out in (out1, out2)):
+        raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
+    iso = isotropic(p, d).matrix.reshape(d, d, d, d)
     ws = weyl_operators(d)
     # Bell basis carries the Weyl on the prepared-state slot of each pair:
     # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
-    v1 = bell_state(d, out1).amplitudes
-    v2 = (ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)).reshape(-1)
-    proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
-    prob, cond = project_and_condition(full, proj, (1, 2, 3, 4))
-    if cond is None:
+    v1 = bell_state(d, out1).amplitudes.reshape(d, d)
+    v2 = ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)
+    # w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's projection
+    # leaves B1 B2 in w, which the isotropic pairs carry to A and C.
+    w = v1.conj() @ phi.amplitudes.reshape(d, d) @ v2.conj()
+    half = np.einsum("aibj,ik,jl->akbl", iso, w, w.conj())
+    ac = np.einsum("akbl,kclf->acbf", half, iso).reshape(d * d, d * d)
+    prob = float(np.trace(ac).real)
+    if prob < 1e-12:
         return ProtocolOutcome(0.0, None, (out1, out2))
-    ac = partial_trace(cond, {0, 5})
     if apply_correction:
         # Post-measurement, Alice holds W1^dag phi_1 and Charlie W2^dag
         # phi_2 on the entangled component; undo with W1 (x) W2.
         u = np.kron(ws[out1], ws[out2])
-        ac = DensityMatrix(ac.dims, u @ ac.matrix @ u.conj().T)
-    return ProtocolOutcome(prob, ac, (out1, out2))
+        ac = u @ ac @ u.conj().T
+    return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (d, d)),
+                           (out1, out2))
 
 
 def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
@@ -189,15 +196,18 @@ def erased_protocol(k: float, bell_outcome: int = 0,
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= bell_outcome < 4:
         raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
+    b_outcomes = tuple(b_outcomes)
+    if len(b_outcomes) != 2 or any(b not in (0, 1) for b in b_outcomes):
+        raise ValueError(f"b_outcomes must be two of 0 or 1, got {b_outcomes}")
     full = _erased_pair_state(k)  # dims (2, 3, 3, 2): A, B1, B2, C
     proj1 = np.kron(M_B0 if b_outcomes[0] == 0 else M_B1,
                     M_B0 if b_outcomes[1] == 0 else M_B1)
     prob1, cond = project_and_condition(full, proj1, (1, 2))
     if cond is None:
-        return ProtocolOutcome(0.0, None, tuple(b_outcomes))
+        return ProtocolOutcome(0.0, None, b_outcomes)
     if b_outcomes != (0, 0):
         ac = partial_trace(cond, {0, 3})
-        return ProtocolOutcome(prob1, ac, tuple(b_outcomes))
+        return ProtocolOutcome(prob1, ac, b_outcomes)
     # Bell measurement on (B1, B2), embedded in the qutrit pair.
     bp = _bell_projector(2, bell_outcome)
     embed = np.zeros((9, 9), dtype=complex)
@@ -205,10 +215,9 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     embed[np.ix_(qubit_idx, qubit_idx)] = bp
     prob2, cond2 = project_and_condition(cond, embed, (1, 2))
     if cond2 is None:
-        return ProtocolOutcome(0.0, None, tuple(b_outcomes) + (bell_outcome,))
+        return ProtocolOutcome(0.0, None, b_outcomes + (bell_outcome,))
     ac = partial_trace(cond2, {0, 3})
-    return ProtocolOutcome(prob1 * prob2, ac,
-                           tuple(b_outcomes) + (bell_outcome,))
+    return ProtocolOutcome(prob1 * prob2, ac, b_outcomes + (bell_outcome,))
 
 
 def build_symmetric_extension(k: int) -> DensityMatrix:

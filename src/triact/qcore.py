@@ -190,48 +190,37 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
-def embed_operator(op, subsystems: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    """Embed an operator acting on ``subsystems`` into the full space.
-
-    ``op`` acts on the listed subsystems in their given (ascending)
-    order; identities fill the rest.
-    """
-    subsystems = [int(s) for s in subsystems]
-    dims = [int(d) for d in dims]
-    if sorted(subsystems) != subsystems:
-        raise ValueError("subsystems must be given in ascending order")
-    if any(s < 0 or s >= len(dims) for s in subsystems):
-        raise ValueError(f"subsystem indices {subsystems} out of range")
-    op = _as_complex_matrix(op)
-    d_sub = int(np.prod([dims[s] for s in subsystems]))
-    if op.shape != (d_sub, d_sub):
-        raise DimensionError(
-            f"operator shape {op.shape} != ({d_sub}, {d_sub}) for subsystems")
-    n = len(dims)
-    total = int(np.prod(dims))
-    others = [i for i in range(n) if i not in subsystems]
-    eye = np.eye(int(np.prod([dims[i] for i in others], initial=1)))
-    # op (x) I on ordering (subsystems, others), axes permuted back to
-    # the dims ordering.
-    order = subsystems + others
-    t = np.kron(op, eye).reshape([dims[i] for i in order] * 2)
-    perm = [order.index(i) for i in range(n)]
-    t = t.transpose(perm + [p + n for p in perm])
-    return np.ascontiguousarray(t.reshape(total, total))
-
-
 def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
     """Condition ``rho`` on a projector on the given subsystems.
 
-    Returns ``(probability, conditional_state)``.  When the outcome
-    probability is below 1e-12 the state slot is None (zero-probability
-    marker).
+    ``proj`` acts on the listed subsystems in their given (ascending)
+    order and is applied to those tensor legs only.  Returns
+    ``(probability, conditional_state)``.  When the outcome probability
+    is below 1e-12 the state slot is None (zero-probability marker).
     """
+    subsystems = [int(s) for s in subsystems]
+    n, k = len(rho.dims), len(subsystems)
+    if sorted(set(subsystems)) != subsystems:
+        raise ValueError("subsystems must be distinct and ascending")
+    if any(s < 0 or s >= n for s in subsystems):
+        raise ValueError(f"subsystem indices {subsystems} out of range")
     p = require_hermitian(proj)
+    sub_dims = [rho.dims[s] for s in subsystems]
+    d_sub = int(np.prod(sub_dims))
+    if p.shape != (d_sub, d_sub):
+        raise DimensionError(
+            f"operator shape {p.shape} != ({d_sub}, {d_sub}) for subsystems")
     if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
         raise ValidationError("projector is not idempotent")
-    full = embed_operator(p, subsystems, rho.dims)
-    out = full @ rho.matrix @ full.conj().T
+    p = p.reshape(sub_dims * 2)
+    legs, cols = list(range(k, 2 * k)), [n + s for s in subsystems]
+    # P rho P^dag: P on the row legs, then P^dag on the column legs.
+    t = rho.matrix.reshape(rho.dims * 2)
+    t = np.moveaxis(np.tensordot(p, t, axes=(legs, subsystems)),
+                    range(k), subsystems)
+    t = np.moveaxis(np.tensordot(t, p.conj(), axes=(cols, legs)),
+                    range(2 * n - k, 2 * n), cols)
+    out = t.reshape(rho.matrix.shape)
     prob = float(np.trace(out).real)
     if prob < 1e-12:
         return 0.0, None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from triact.channels import weyl_operators
 from triact.criteria import horodecki_m
 from triact.protocols import (bell_state,
                               build_symmetric_extension, double_teleport,
@@ -10,7 +11,8 @@ from triact.protocols import (bell_state,
                               teleport_distribution,
                               verify_locality_observation, _erased_pair_state)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          fidelity_pure, partial_trace, tensor)
+                          fidelity_pure, partial_trace, project_and_condition,
+                          tensor)
 from triact.states import erased, isotropic, max_entangled
 
 
@@ -24,6 +26,44 @@ def test_bell_state_basis_is_orthonormal():
         vs = [bell_state(d, i).amplitudes for i in range(d * d)]
         gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-12)
+
+
+def literal_double_teleport(phi, p, d, o1, o2):
+    """Reference: the full six-party network A, B1, F1, F2, B2, C, Bell
+    projections on (B1, F1) and (F2, B2), then the (A, C) marginal."""
+    iso = isotropic(p, d)
+    full = tensor(iso, phi.density_matrix(), iso)
+    ws = weyl_operators(d)
+    psi = max_entangled(d).amplitudes.reshape(d, d)
+    v1 = (psi @ ws[o1].T).reshape(-1)
+    v2 = (ws[o2] @ psi).reshape(-1)
+    proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
+    prob, cond = project_and_condition(full, proj, (1, 2, 3, 4))
+    return prob, partial_trace(cond, {0, 5}).matrix
+
+
+def test_double_teleport_matches_literal_network():
+    rng = np.random.default_rng(11)
+    cases = [(2, o1, o2) for o1 in range(4) for o2 in range(4)]
+    cases += [(3, 0, 0), (3, 5, 7)]
+    for d, o1, o2 in cases:
+        phi = random_pure(rng, d)
+        p = rng.uniform()
+        prob, ac = literal_double_teleport(phi, p, d, o1, o2)
+        ws = weyl_operators(d)
+        u = np.kron(ws[o1], ws[o2])
+        for corr, want in ((False, ac), (True, u @ ac @ u.conj().T)):
+            out = double_teleport(phi, p, d, (o1, o2), apply_correction=corr)
+            assert out.outcome_labels == (o1, o2)
+            assert abs(out.success_probability - prob) <= 1e-10
+            assert np.max(np.abs(out.conditional_state.matrix - want)) <= 1e-10
+
+
+def test_double_teleport_rejects_bad_outcomes():
+    phi = max_entangled(2)
+    for outcome in ((0, -1), (-1, 0), (0, 4), (4, 0), (16, 16)):
+        with pytest.raises(ValueError):
+            double_teleport(phi, 0.7, 2, outcome)
 
 
 def test_double_teleport_noiseless():
@@ -173,6 +213,12 @@ def test_erased_protocol_failure_branch_is_product():
         assert horodecki_m(out.conditional_state) < 1e-10
         expected = (1 - 1 / 3) ** sum(b_out) * (1 / 3) ** (2 - sum(b_out))
         assert abs(out.success_probability - expected) < 1e-12
+
+
+def test_erased_protocol_rejects_bad_b_outcomes():
+    for b_out in ((2, 0), (0, -1), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            erased_protocol(3.0, 0, b_out)
 
 
 def test_erased_protocol_outcome_tree_sums_to_one():

@@ -165,6 +165,31 @@ def test_condition_erased_on_qubit_subspace():
     np.testing.assert_allclose(cond.matrix, expected, atol=1e-12)
 
 
+def test_condition_on_non_adjacent_subsystems():
+    dims = (2, 3, 2)
+    rho = mixed(9, dims)
+    g = np.random.default_rng(4).standard_normal((2, 4))
+    v = g[0] + 1j * g[1]
+    proj = np.outer(v, v.conj()) / np.vdot(v, v).real
+    # Reference: proj (x) I_B on the order (A, C, B), legs permuted back
+    # to (A, B, C).
+    full = np.kron(proj, np.eye(3)).reshape((2, 2, 3) * 2)
+    full = full.transpose(0, 2, 1, 3, 5, 4).reshape(12, 12)
+    out = full @ rho.matrix @ full.conj().T
+    prob, cond = project_and_condition(rho, proj, (0, 2))
+    assert abs(prob - np.trace(out).real) < 1e-12
+    np.testing.assert_allclose(cond.matrix, out / prob, atol=1e-12)
+    assert cond.dims == dims
+
+
+def test_condition_rejects_bad_subsystems():
+    rho = mixed(9, (2, 3, 2))
+    # Unordered, repeated, out of range, and a shape mismatch.
+    for subs in ((2, 0), (0, 0), (0, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            project_and_condition(rho, np.eye(4), subs)
+
+
 def test_condition_zero_probability_marker():
     rho = DensityMatrix((2, 3), erased(1).matrix)
     prob, cond = project_and_condition(rho, np.diag([0.0, 0.0, 1.0]), [1])
