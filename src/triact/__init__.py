@@ -6,7 +6,7 @@ from .channels import (KrausChannel, apply, local_decohere, make_ad, make_d,
 from .criteria import (Classification, CorrelationMatrix, chsh_value,
                        classify, correlation_matrix, hashing_criterion,
                        horodecki_m, maximize_chsh)
-from .harness import ExperimentConfig, ExperimentRecord, run
+from .harness import ExperimentConfig, run
 from .protocols import (ProtocolOutcome, bell_state,
                         build_symmetric_extension, double_teleport,
                         eq2_mixture, erased_protocol, teleport_distribution,

@@ -32,8 +32,6 @@ class KrausChannel:
     """A finite set of Kraus operators satisfying sum E_i^dag E_i = I."""
 
     kraus_ops: tuple
-    label: str = "custom"
-    strength: float | None = None
 
     def __post_init__(self):
         ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus_ops)
@@ -68,7 +66,7 @@ def make_ad(t: float) -> KrausChannel:
     _check_t(t)
     e0 = np.array([[1, 0], [0, np.sqrt(1 - t)]], dtype=complex)
     e1 = np.array([[0, np.sqrt(t)], [0, 0]], dtype=complex)
-    return KrausChannel((e0, e1), label="AD", strength=t)
+    return KrausChannel((e0, e1))
 
 
 def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
@@ -81,9 +79,9 @@ def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
     _check_t(t)
     if verbatim:
         ops = (np.sqrt(t) * np.eye(2), np.sqrt(1 - t) * PAULI[2])
-        return KrausChannel(ops, label="PD_verbatim", strength=t)
+        return KrausChannel(ops)
     ops = (np.sqrt(1 - t / 2) * np.eye(2), np.sqrt(t / 2) * PAULI[2])
-    return KrausChannel(ops, label="PD", strength=t)
+    return KrausChannel(ops)
 
 
 def make_d(t: float) -> KrausChannel:
@@ -91,7 +89,7 @@ def make_d(t: float) -> KrausChannel:
     _check_t(t)
     ops = (np.sqrt(1 - 3 * t / 4) * np.eye(2),) + tuple(
         np.sqrt(t / 4) * s for s in PAULI)
-    return KrausChannel(ops, label="D", strength=t)
+    return KrausChannel(ops)
 
 
 def make_depolarizing(p: float, d: int) -> KrausChannel:
@@ -109,7 +107,7 @@ def make_depolarizing(p: float, d: int) -> KrausChannel:
     q = (1 - p) / d**2
     ops = [np.sqrt(p + q) * np.eye(d)]
     ops += [np.sqrt(q) * w for w in ws[1:]]
-    return KrausChannel(tuple(ops), label="depolarizing_d", strength=p)
+    return KrausChannel(tuple(ops))
 
 
 def make_erasure(k: float) -> KrausChannel:
@@ -123,7 +121,7 @@ def make_erasure(k: float) -> KrausChannel:
     lose0[2, 0] = np.sqrt(1 - 1 / k)
     lose1 = np.zeros((3, 2), dtype=complex)
     lose1[2, 1] = np.sqrt(1 - 1 / k)
-    return KrausChannel((keep, lose0, lose1), label="erasure", strength=k)
+    return KrausChannel((keep, lose0, lose1))
 
 
 @functools.lru_cache(maxsize=8)

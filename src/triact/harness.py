@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, criteria, protocols
-from .criteria import Classification
 from .qcore import PureState, fidelity_pure, partial_trace
 from .states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs, random_pure_fs
 
-EXPERIMENTS = ("census", "decoherence_sweep", "protocol_verify",
-               "extension_verify", "iso_curve")
 CHANNELS = {
     "AD": channels.make_ad,
     "PD": channels.make_pd,
@@ -37,8 +34,6 @@ CHANNELS = {
 
 CENSUS_FIELDS = ("state_index", "m_value", "chsh_max", "s_a", "s_b", "s_ab",
                  "violates_chsh", "hashing_distillable", "nonlocal_resource")
-SWEEP_FIELDS = ("state_index", "activated", "t_start", "t_end", "width",
-                "span_width", "multi_interval", "n_nlr_steps")
 
 
 class HarnessIOError(OSError):
@@ -59,7 +54,7 @@ class ExperimentConfig:
     p: float = 0.9
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
@@ -69,6 +64,11 @@ class ExperimentConfig:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.experiment == "protocol_verify" and not self.k >= 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.experiment == "extension_verify" and not (
+                float(self.k).is_integer()
+                and 2 <= self.k <= protocols.MAX_EXTENSION_K):
+            raise ValueError(f"k must be an integer in "
+                             f"[2, {protocols.MAX_EXTENSION_K}], got {self.k}")
         if self.channel not in CHANNELS:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.output_format not in ("csv", "json"):
@@ -78,15 +78,15 @@ class ExperimentConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     if x is None:
         return ""
     if isinstance(x, str):
         return x
-    return f"{float(x):.12g}"
+    return f"{x:.12g}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -106,27 +106,20 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_records(cfg: ExperimentConfig, fields, records, summary):
+def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
+    """Write one record per row of ``cols`` (field name -> 1-D array, all
+    of one length, in column order) and the summary, as CSV or JSON."""
+    rows = list(zip(*(c.tolist() for c in cols.values())))
     if cfg.output_format == "json":
-        payload = {
-            "records": [
-                {f: (None if rec[f] is None
-                     else bool(rec[f]) if isinstance(rec[f], (bool, np.bool_))
-                     else float(rec[f]) if isinstance(rec[f], (float, np.floating))
-                     else int(rec[f]))
-                 for f in fields}
-                for rec in records
-            ],
-            "summary": {k: (float(v) if isinstance(v, (float, np.floating))
-                            else v) for k, v in summary.items()},
-        }
+        payload = {"records": [dict(zip(cols, row)) for row in rows],
+                   "summary": summary}
         text = json.dumps(payload, indent=1) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow([_fmt(rec[f]) for f in fields])
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
         for key in sorted(summary):
             writer.writerow([f"# {key}", _fmt(summary[key])])
         text = buf.getvalue()
@@ -139,41 +132,16 @@ def _chunks(n: int, size: int = 4096):
 
 
 def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):
-    """Map worker over index chunks, in processes when threads > 1."""
+    """Map worker over index chunks, in processes when threads > 1 and
+    there is more than one chunk."""
     chunk_args = [args_for(idx) for idx in _chunks(n)]
-    if cfg.threads == 1:
+    # Every worker of the pool is started on the first submit, so never
+    # ask for more of them than there are chunks.
+    workers = min(cfg.threads, len(chunk_args))
+    if workers == 1:
         return [worker(*a) for a in chunk_args]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*chunk_args)))
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One decoherence trajectory with per-step classification."""
-
-    state_index: int
-    seed_used: RngSeed
-    per_step: tuple  # of (t, Classification)
-    activation_interval: tuple | None  # (t_start, t_end) on the grid
-
-
-def sweep_trajectory(cfg: ExperimentConfig, state_index: int) -> ExperimentRecord:
-    """Fully classified trajectory of a single sweep state."""
-    seed = RngSeed(cfg.seed, state_index)
-    psi = random_pure_fs(4, seed, dims=(2, 2))
-    ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
-    steps = []
-    nlr = []
-    for t in ts:
-        rho = channels.local_decohere(psi, CHANNELS[cfg.channel], float(t))
-        cls = criteria.classify(rho)
-        steps.append((float(t), cls))
-        nlr.append(cls.nonlocal_resource)
-    hits = np.flatnonzero(nlr)
-    interval = None
-    if hits.size:
-        interval = (float(ts[hits[0]]), float(ts[hits[-1]]))
-    return ExperimentRecord(state_index, seed, tuple(steps), interval)
 
 
 # ---------------------------------------------------------------- census
@@ -190,9 +158,10 @@ def run_census(cfg: ExperimentConfig):
     """Classify n_states Hilbert-Schmidt-random two-qubit states."""
     parts = _run_chunked(_census_chunk, lambda idx: (cfg.seed, list(idx)),
                          cfg, cfg.n_states)
-    cols = {f: np.concatenate([p[f] for p in parts])
-            for f in parts[0]}
     n = cfg.n_states
+    cols = {"state_index": np.arange(n),
+            **{f: np.concatenate([p[f] for p in parts])
+               for f in CENSUS_FIELDS[1:]}}
     no_viol = int(np.sum(~cols["violates_chsh"]))
     nlr = int(np.sum(cols["nonlocal_resource"]))
 
@@ -212,11 +181,7 @@ def run_census(cfg: ExperimentConfig):
         "frac_nlr_of_nonviolating": f_cond,
     }
     if cfg.output_path:
-        records = [
-            {"state_index": i, **{f: cols[f][i] for f in cols}}
-            for i in range(n)
-        ]
-        _write_records(cfg, CENSUS_FIELDS, records, summary)
+        _write_table(cfg, cols, summary)
     return summary
 
 
@@ -236,27 +201,25 @@ def _sweep_chunk(seed: int, indices, channel: str, n_steps: int):
     return np.stack(out)
 
 
-def _interval_record(i: int, flags: np.ndarray, ts: np.ndarray) -> dict:
+def _interval_columns(flags: np.ndarray, ts: np.ndarray) -> dict:
+    """Sweep columns from the (n_states, n_steps) NLR flag matrix on the
+    grid ts; t_start and t_end are None for states never activated."""
     dt = ts[1] - ts[0]
-    hits = np.flatnonzero(flags)
-    if hits.size == 0:
-        return {"state_index": i, "activated": False, "t_start": None,
-                "t_end": None, "width": 0.0, "span_width": 0.0,
-                "multi_interval": False, "n_nlr_steps": 0}
-    t_start, t_end = ts[hits[0]], ts[hits[-1]]
-    span = (t_end - t_start) + dt
-    contiguous = hits.size == hits[-1] - hits[0] + 1
+    n_hits = flags.sum(axis=1)
+    activated = n_hits > 0
+    first = flags.argmax(axis=1)
+    last = flags.shape[1] - 1 - flags[:, ::-1].argmax(axis=1)
+    t_start, t_end = ts[first], ts[last]
     return {
-        "state_index": i,
-        "activated": True,
-        "t_start": t_start,
-        "t_end": t_end,
+        "activated": activated,
+        "t_start": np.where(activated, t_start, None),
+        "t_end": np.where(activated, t_end, None),
         # total measure: counts the occupied grid cells, equals the span
         # convention when the hit set is contiguous
-        "width": hits.size * dt,
-        "span_width": span,
-        "multi_interval": not contiguous,
-        "n_nlr_steps": int(hits.size),
+        "width": n_hits * dt,
+        "span_width": np.where(activated, (t_end - t_start) + dt, 0.0),
+        "multi_interval": activated & (n_hits != last - first + 1),
+        "n_nlr_steps": n_hits,
     }
 
 
@@ -268,10 +231,9 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
         _sweep_chunk,
         lambda idx: (cfg.seed, list(idx), cfg.channel, cfg.n_time_steps),
         cfg, cfg.n_states)
-    flags = np.concatenate(parts, axis=0)
-    records = [_interval_record(i, flags[i], ts) for i in range(cfg.n_states)]
-    widths = np.array([r["width"] for r in records])
-    activated = np.array([r["activated"] for r in records])
+    cols = {"state_index": np.arange(cfg.n_states),
+            **_interval_columns(np.concatenate(parts, axis=0), ts)}
+    widths, activated = cols["width"], cols["activated"]
     n_act = int(activated.sum())
     act_widths = widths[activated] if n_act else np.zeros(1)
     summary = {
@@ -283,10 +245,10 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
         "std_interval_width_activated": float(act_widths.std()),
         "mean_interval_width_all": float(widths.mean()),
         "std_interval_width_all": float(widths.std()),
-        "n_multi_interval": int(sum(r["multi_interval"] for r in records)),
+        "n_multi_interval": int(cols["multi_interval"].sum()),
     }
     if cfg.output_path:
-        _write_records(cfg, SWEEP_FIELDS, records, summary)
+        _write_table(cfg, cols, summary)
     return summary
 
 
@@ -373,18 +335,17 @@ def _projective_povm(rng, d: int):
 
 
 def run_extension_verify(cfg: ExperimentConfig):
-    """Check that every (A, B_i) marginal of the extension is erased(k)."""
-    checks = []
-    ks = [int(cfg.k)] if 2 <= cfg.k <= protocols.MAX_EXTENSION_K else [2, 3, 4]
-    for k in ks:
-        ext = protocols.build_symmetric_extension(k)
-        target = erased(k).matrix
-        worst = 0.0
-        for i in range(1, k + 1):
-            marg = partial_trace(ext, {0, i}).matrix
-            worst = max(worst, float(np.max(np.abs(marg - target))))
-        checks.append(_check(f"extension_marginals_k{k}", worst, 1e-12))
-    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+    """Check that every (A, B_i) marginal of the k-party extension is
+    erased(k)."""
+    k = int(cfg.k)
+    ext = protocols.build_symmetric_extension(k)
+    target = erased(k).matrix
+    worst = 0.0
+    for i in range(1, k + 1):
+        marg = partial_trace(ext, {0, i}).matrix
+        worst = max(worst, float(np.max(np.abs(marg - target))))
+    check = _check(f"extension_marginals_k{k}", worst, 1e-12)
+    return {"checks": [check], "all_passed": check["passed"]}
 
 
 # -------------------------------------------------------------- iso curve
@@ -415,7 +376,8 @@ def run_iso_curve(cfg: ExperimentConfig):
                     None)
     summary = {"activated_crossing_p": crossing}
     if cfg.output_path:
-        _write_records(cfg, ISO_CURVE_FIELDS, records, summary)
+        _write_table(cfg, {f: np.array([r[f] for r in records])
+                           for f in ISO_CURVE_FIELDS}, summary)
     return {"records": records, **summary}
 
 

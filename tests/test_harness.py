@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -6,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from triact import harness
+from triact import channels, criteria, harness
 from triact.cli import main as cli_main
 from triact.harness import (ExperimentConfig, HarnessIOError, run_census,
                             run_decoherence_sweep, run_extension_verify,
                             run_iso_curve, run_protocol_verify,
-                            sweep_trajectory, _interval_record)
+                            _interval_columns)
+from triact.states import RngSeed, random_pure_fs
 
 
 def census_cfg(**kw):
@@ -32,12 +34,39 @@ def test_config_validation():
 
 
 def test_census_deterministic_csv(tmp_path):
+    # 4100 states make two chunks, so threads=3 runs a real two-process pool
     paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
-    run_census(census_cfg(output_path=str(paths[0])))
-    run_census(census_cfg(output_path=str(paths[1])))
-    run_census(census_cfg(output_path=str(paths[2]), threads=3))
+    run_census(census_cfg(n_states=4100, output_path=str(paths[0])))
+    run_census(census_cfg(n_states=4100, output_path=str(paths[1])))
+    run_census(census_cfg(n_states=4100, output_path=str(paths[2]),
+                          threads=3))
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_worker_count_clamped_to_chunks(monkeypatch):
+    """The pool gets at most one worker per chunk, and one chunk runs
+    serially; a fake pool records the request and starts no process."""
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    run_census(census_cfg(n_states=10, threads=1000))
+    assert built == []
+    run_census(census_cfg(n_states=4100, threads=1000))
+    assert built == [2]
 
 
 def test_census_bookkeeping_identity():
@@ -66,20 +95,24 @@ def test_census_json_output(tmp_path):
 
 def test_interval_record_extraction():
     ts = np.linspace(0, 1, 11)
-    rec = _interval_record(0, np.array([0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0],
-                                       dtype=bool), ts)
-    assert rec["activated"]
-    assert abs(rec["t_start"] - 0.2) < 1e-12 and abs(rec["t_end"] - 0.4) < 1e-12
-    assert abs(rec["width"] - 0.3) < 1e-12          # three cells of 0.1
-    assert abs(rec["span_width"] - 0.3) < 1e-12
-    assert not rec["multi_interval"]
-    rec = _interval_record(1, np.array([0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-                                       dtype=bool), ts)
-    assert rec["multi_interval"]
-    assert abs(rec["width"] - 0.2) < 1e-12          # total measure
-    assert abs(rec["span_width"] - 0.3) < 1e-12     # min-to-max span
-    rec = _interval_record(2, np.zeros(11, dtype=bool), ts)
-    assert not rec["activated"] and rec["width"] == 0.0
+    flags = np.zeros((3, 11), dtype=bool)
+    flags[0, 2:5] = True
+    flags[1, [1, 3]] = True
+    cols = _interval_columns(flags, ts)
+    rec = [{f: c[i] for f, c in cols.items()} for i in range(3)]
+    assert rec[0]["activated"]
+    assert abs(rec[0]["t_start"] - 0.2) < 1e-12
+    assert abs(rec[0]["t_end"] - 0.4) < 1e-12
+    assert abs(rec[0]["width"] - 0.3) < 1e-12       # three cells of 0.1
+    assert abs(rec[0]["span_width"] - 0.3) < 1e-12
+    assert not rec[0]["multi_interval"] and rec[0]["n_nlr_steps"] == 3
+    assert rec[1]["multi_interval"]
+    assert abs(rec[1]["width"] - 0.2) < 1e-12       # total measure
+    assert abs(rec[1]["span_width"] - 0.3) < 1e-12  # min-to-max span
+    assert not rec[2]["activated"] and rec[2]["width"] == 0.0
+    assert rec[2]["span_width"] == 0.0 and rec[2]["n_nlr_steps"] == 0
+    assert rec[2]["t_start"] is None and rec[2]["t_end"] is None
+    assert not rec[2]["multi_interval"]
 
 
 def test_sweep_two_step_grid_endpoints():
@@ -101,19 +134,39 @@ def test_sweep_deterministic_across_threads(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_sweep_trajectory_matches_batch_sweep():
-    cfg = ExperimentConfig(experiment="decoherence_sweep", n_states=3,
-                           n_time_steps=25, channel="PD", seed=9)
-    summary = run_decoherence_sweep(cfg)
-    rec = sweep_trajectory(cfg, 2)
-    assert rec.seed_used.stream_index == 2
-    for t, cls in rec.per_step:
-        assert cls.violates_chsh == (cls.m_value > 1 + 1e-9)
-    # per-step flags reduce to the same interval bookkeeping
-    flags = [c.nonlocal_resource for _, c in rec.per_step]
-    if rec.activation_interval is not None:
-        assert any(flags)
-        assert rec.activation_interval[0] <= rec.activation_interval[1]
+def test_sweep_trajectory_matches_batch_sweep(tmp_path):
+    """Every written sweep record agrees with the flags of its state
+    decohered by `channels.local_decohere` and classified by
+    `criteria.classify` at each grid point."""
+    path = tmp_path / "s.json"
+    seen = set()
+    for channel in ("AD", "PD_verbatim"):
+        cfg = ExperimentConfig(experiment="decoherence_sweep", n_states=4,
+                               n_time_steps=25, channel=channel, seed=9,
+                               output_path=str(path), output_format="json")
+        run_decoherence_sweep(cfg)
+        records = json.loads(path.read_text())["records"]
+        assert len(records) == cfg.n_states
+        ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
+        for i, rec in enumerate(records):
+            psi = random_pure_fs(4, RngSeed(cfg.seed, i), dims=(2, 2))
+            hits = np.flatnonzero([
+                criteria.classify(channels.local_decohere(
+                    psi, harness.CHANNELS[channel], float(t))
+                ).nonlocal_resource for t in ts])
+            assert rec["state_index"] == i
+            assert rec["n_nlr_steps"] == hits.size
+            if hits.size:
+                assert rec["t_start"] == ts[hits[0]]
+                assert rec["t_end"] == ts[hits[-1]]
+                multi = hits.size != hits[-1] - hits[0] + 1
+                assert rec["multi_interval"] == multi
+                seen.add("multi" if multi else "single")
+            else:
+                assert rec["t_start"] is None and rec["t_end"] is None
+                seen.add("never")
+    # the sample covers each kind of record
+    assert seen == {"single", "multi", "never"}
 
 
 def test_protocol_verify_all_pass():
@@ -123,11 +176,12 @@ def test_protocol_verify_all_pass():
 
 
 def test_extension_verify_all_pass():
-    report = run_extension_verify(ExperimentConfig(
-        experiment="extension_verify", k=0))
-    names = [c["name"] for c in report["checks"]]
-    assert names == [f"extension_marginals_k{k}" for k in (2, 3, 4)]
-    assert report["all_passed"]
+    for k in (2, 3, 4):
+        report = run_extension_verify(ExperimentConfig(
+            experiment="extension_verify", k=k))
+        names = [c["name"] for c in report["checks"]]
+        assert names == [f"extension_marginals_k{k}"]
+        assert report["all_passed"]
 
 
 def test_iso_curve_grid(tmp_path):
@@ -187,6 +241,9 @@ def test_cli_bad_arguments_exit_2():
         assert exc.value.code == 2
     assert cli_main(["verify", "--p", "2"]) == 2
     assert cli_main(["verify", "--k", "0.5"]) == 2
+    # extension checks exactly the k it is given
+    for k in ("2.5", "9", "0"):
+        assert cli_main(["extension", "--k", k]) == 2
 
 
 def test_cli_io_error_exit_3(tmp_path, capsys):
@@ -234,19 +291,35 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
 def test_json_and_csv_agree(tmp_path):
     c = tmp_path / "s.csv"
     j = tmp_path / "s.json"
-    run_census(census_cfg(n_states=20, output_path=str(c)))
-    run_census(census_cfg(n_states=20, output_path=str(j),
-                          output_format="json"))
-    with open(c) as fh:
-        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-    payload = json.loads(j.read_text())
-    header = rows[0]
-    for row, rec in zip(rows[1:], payload["records"]):
-        for name, val in zip(header, row):
-            if name in ("violates_chsh", "hashing_distillable",
-                        "nonlocal_resource"):
-                assert rec[name] == (val == "1")
-            elif name == "state_index":
-                assert rec[name] == int(val)
-            else:
-                assert abs(rec[name] - float(val)) < 1e-9
+    bools = {"violates_chsh", "hashing_distillable", "nonlocal_resource",
+             "activated", "multi_interval"}
+    ints = {"state_index", "n_nlr_steps"}
+    nullable = {"t_start", "t_end"}
+    # PD_verbatim has states that are never activated and states with
+    # several NLR intervals
+    sweep = ExperimentConfig(experiment="decoherence_sweep", n_states=12,
+                             n_time_steps=50, channel="PD_verbatim", seed=1)
+    for runner, cfg in ((run_census, census_cfg(n_states=20)),
+                        (run_decoherence_sweep, sweep)):
+        runner(dataclasses.replace(cfg, output_path=str(c)))
+        runner(dataclasses.replace(cfg, output_path=str(j),
+                                   output_format="json"))
+        with open(c) as fh:
+            rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        payload = json.loads(j.read_text())
+        header = rows[0]
+        assert len(rows) - 1 == len(payload["records"]) == cfg.n_states
+        for row, rec in zip(rows[1:], payload["records"]):
+            assert list(rec) == header
+            for name, val in zip(header, row):
+                if name in bools:
+                    assert rec[name] is (val == "1") and val in ("0", "1")
+                elif name in ints:
+                    assert type(rec[name]) is int and rec[name] == int(val)
+                elif name in nullable and rec[name] is None:
+                    assert val == "" and not rec["activated"]
+                else:
+                    assert abs(rec[name] - float(val)) < 1e-9
+        if runner is run_decoherence_sweep:
+            assert any(rec["t_start"] is None for rec in payload["records"])
+            assert any(rec["multi_interval"] for rec in payload["records"])
