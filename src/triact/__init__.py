@@ -11,9 +11,8 @@ from .protocols import (ProtocolOutcome, bell_state,
                         build_symmetric_extension, double_teleport,
                         eq2_mixture, erased_protocol, teleport_distribution,
                         verify_locality_observation)
-from .qcore import (DensityMatrix, PureState, eigvalsh, fidelity_pure,
-                    partial_trace, project_and_condition, tensor,
-                    von_neumann_entropy)
+from .qcore import (DensityMatrix, PureState, fidelity_pure, partial_trace,
+                    project_and_condition, tensor, von_neumann_entropy)
 from .states import (RngSeed, erased, isotropic, max_entangled,
                      random_mixed_hs, random_pure_fs)
 

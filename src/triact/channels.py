@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import DensityMatrix, PureState, ValidationError
+from .qcore import DensityMatrix, PureState, ValidationError, apply_to_legs
 
 COMPLETENESS_TOL = 1e-10
 
@@ -46,14 +46,6 @@ class KrausChannel:
         for e in ops:
             e.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
-
-    @property
-    def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
 
 
 def _check_t(t: float):
@@ -140,25 +132,8 @@ def weyl_operators(d: int) -> tuple:
 
 def apply(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
     """Apply the channel to one subsystem of a composite state."""
-    if rho.dims[subsystem] != ch.dim_in:
-        raise ValueError(
-            f"channel input dim {ch.dim_in} != subsystem dim "
-            f"{rho.dims[subsystem]}")
-    new_dims = list(rho.dims)
-    new_dims[subsystem] = ch.dim_out
-    out = None
-    for e in ch.kraus_ops:
-        # d_out x d_in operators need the rectangular embedding: act on the
-        # reshaped tensor leg directly.
-        t = rho.matrix.reshape(list(rho.dims) * 2)
-        t = np.tensordot(e, t, axes=([1], [subsystem]))
-        t = np.moveaxis(t, 0, subsystem)
-        t = np.tensordot(e.conj(), t,
-                         axes=([1], [len(rho.dims) + subsystem]))
-        t = np.moveaxis(t, 0, len(rho.dims) + subsystem)
-        term = t.reshape(int(np.prod(new_dims)), int(np.prod(new_dims)))
-        out = term if out is None else out + term
-    return DensityMatrix.cleaned(out, tuple(new_dims))
+    return DensityMatrix.cleaned(
+        *apply_to_legs(ch.kraus_ops, rho.matrix, rho.dims, [subsystem]))
 
 
 def local_decohere(psi: PureState, make_channel, t: float) -> DensityMatrix:

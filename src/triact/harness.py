@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 def _fmt(x) -> str:

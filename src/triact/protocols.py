@@ -21,7 +21,7 @@ import numpy as np
 from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
 from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
-                    project_and_condition, tensor)
+                    project_and_condition, require_hermitian, tensor)
 from .states import erased, isotropic, max_entangled
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -95,18 +95,24 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
                            (out1, out2))
 
 
-def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
-    """The four-term conditional-state mixture for the Psi_+ branch:
-    p^2 |phi><phi| + p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C)
-    + (1-p)^2 I/d (x) I/d."""
+def _eq2_terms(phi: PureState, p: float, d: int):
+    """|phi><phi| and the local part of the Psi_+ branch mixture,
+    p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C) + (1-p)^2 I/d (x) I/d."""
     rho_phi = phi.density_matrix()
     sigma_a = partial_trace(rho_phi, {0}).matrix
     sigma_c = partial_trace(rho_phi, {1}).matrix
     eye = np.eye(d) / d
-    mat = (p**2 * rho_phi.matrix
-           + p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
-           + (1 - p)**2 * np.kron(eye, eye))
-    return DensityMatrix((d, d), mat)
+    local = (p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
+             + (1 - p)**2 * np.kron(eye, eye))
+    return rho_phi.matrix, local
+
+
+def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
+    """The four-term conditional-state mixture for the Psi_+ branch:
+    p^2 |phi><phi| + p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C)
+    + (1-p)^2 I/d (x) I/d."""
+    rho_phi, local = _eq2_terms(phi, p, d)
+    return DensityMatrix((d, d), p**2 * rho_phi + local)
 
 
 @dataclass(frozen=True)
@@ -119,11 +125,11 @@ class TeleportDistribution:
 
 
 def _check_povm(ops, d: int):
-    mats = [np.asarray(o, dtype=complex) for o in ops]
+    mats = [require_hermitian(o) for o in ops]
     total = np.zeros((d, d), dtype=complex)
     for m in mats:
-        if m.shape != (d, d) or np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("POVM elements must be Hermitian d x d matrices")
+        if m.shape != (d, d):
+            raise ValueError("POVM elements must be d x d matrices")
         if np.linalg.eigvalsh(m)[0] < -1e-10:
             raise ValueError("POVM elements must be PSD")
         total += m
@@ -152,16 +158,12 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
     charlie = _check_povm(charlie_povm, d)
     rho_f = double_teleport(phi, p, d, (0, 0)).conditional_state
     joint = _joint_table(rho_f.matrix, alice, charlie)
-    p_phi = _joint_table(phi.density_matrix().matrix, alice, charlie)
-    rho_phi = phi.density_matrix()
-    sigma_a = partial_trace(rho_phi, {0}).matrix
-    sigma_c = partial_trace(rho_phi, {1}).matrix
-    eye = np.eye(d) / d
+    rho_phi, local = _eq2_terms(phi, p, d)
+    p_phi = _joint_table(rho_phi, alice, charlie)
     if 1 - p**2 > 1e-15:
-        loc_mat = (p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
-                   + (1 - p)**2 * np.kron(eye, eye)) / (1 - p**2)
+        loc_mat = local / (1 - p**2)
     else:
-        loc_mat = np.kron(eye, eye)
+        loc_mat = np.eye(d * d) / d**2
     p_loc = _joint_table(loc_mat, alice, charlie)
     residual = float(np.max(np.abs(joint - p**2 * p_phi - (1 - p**2) * p_loc)))
     return TeleportDistribution(joint, p_phi, p_loc, p**2, residual)

@@ -120,18 +120,11 @@ class DensityMatrix:
     def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":
         """Build a state after numerical hygiene.
 
-        Re-Hermitizes via (m + m^dag)/2, clips eigenvalues in
-        [-PSD_TOL, 0) to zero and renormalizes the trace.  Negativity
-        beyond the tolerance is a real error, not noise, and raises.
+        Re-Hermitizes via (m + m^dag)/2 and renormalizes the trace.  The
+        constructor's PSD_TOL check stays the only PSD gate: negativity
+        beyond it is a real error, not noise, and raises.
         """
         m = _as_complex_matrix(matrix)
-        m = (m + m.conj().T) / 2
-        w, v = np.linalg.eigh(m)
-        if w[0] < -PSD_TOL:
-            raise ValidationError(
-                f"cannot clean: min eigenvalue {w[0]:.3e} below -{PSD_TOL}")
-        w = np.clip(w, 0.0, None)
-        m = (v * w) @ v.conj().T
         m = (m + m.conj().T) / 2
         tr = float(np.trace(m).real)
         if tr <= 0:
@@ -169,25 +162,54 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(tuple(dims), t.reshape(d, d))
 
 
-def eigvalsh(m, eigenvectors: bool = False):
-    """Eigenvalues of a Hermitian matrix in descending order.
-
-    With ``eigenvectors=True`` also returns the matching eigenvector
-    columns.  Raises ValidationError for non-Hermitian input.
-    """
-    a = require_hermitian(m)
-    if eigenvectors:
-        w, v = np.linalg.eigh(a)
-        order = np.argsort(w)[::-1]
-        return w[order], v[:, order]
-    return np.linalg.eigvalsh(a)[::-1]
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), in bits; 0 log 0 := 0."""
     w = np.linalg.eigvalsh(rho.matrix)
     w = w[w > 1e-14]
     return float(-np.sum(w * np.log2(w)))
+
+
+def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
+                  legs: Sequence[int]):
+    """Sum_K K rho K^dag, each K acting only on the listed tensor legs.
+
+    ``matrix`` is a raw (D, D) array over ``dims``; ``legs`` must be
+    distinct and ascending, and each K acts on them in that order.  K is
+    either square on those legs, or maps a single leg to a new dimension
+    (d_out x d_in).  Returns ``(out_matrix, out_dims)``.
+    """
+    legs = [int(s) for s in legs]
+    n, k = len(dims), len(legs)
+    if sorted(set(legs)) != legs:
+        raise ValueError("subsystems must be distinct and ascending")
+    if any(s < 0 or s >= n for s in legs):
+        raise ValueError(f"subsystem indices {legs} out of range "
+                         f"for {n} subsystems")
+    sub_dims = [dims[s] for s in legs]
+    d_sub = int(np.prod(sub_dims))
+    stack = np.array(ops, dtype=complex)
+    if stack.ndim != 3 or stack.shape[2] != d_sub or (
+            k > 1 and stack.shape[1] != d_sub):
+        raise DimensionError(f"operator shape {stack.shape[1:]} does not "
+                             f"act on subsystems of dims {sub_dims}")
+    out_sub = sub_dims if k > 1 else [stack.shape[1]]
+    out_dims = list(dims)
+    for s, d in zip(legs, out_sub):
+        out_dims[s] = d
+    # Stack axes: (Kraus index, K's output legs, K's input legs).
+    stack = stack.reshape([len(stack)] + out_sub + sub_dims)
+    ins = list(range(k + 1, 2 * k + 1))
+    cols = [n + s for s in legs]
+    # K on the row legs (the Kraus index stays in front), then K^dag on
+    # the column legs, contracting the Kraus index to sum over K.
+    t = matrix.reshape(list(dims) * 2)
+    t = np.moveaxis(np.tensordot(stack, t, axes=(ins, legs)),
+                    range(1, k + 1), [1 + s for s in legs])
+    t = np.tensordot(t, stack.conj(), axes=([0] + [1 + c for c in cols],
+                                            [0] + ins))
+    t = np.moveaxis(t, range(2 * n - k, 2 * n), cols)
+    d_out = int(np.prod(out_dims))
+    return t.reshape(d_out, d_out), tuple(out_dims)
 
 
 def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
@@ -198,29 +220,10 @@ def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
     ``(probability, conditional_state)``.  When the outcome probability
     is below 1e-12 the state slot is None (zero-probability marker).
     """
-    subsystems = [int(s) for s in subsystems]
-    n, k = len(rho.dims), len(subsystems)
-    if sorted(set(subsystems)) != subsystems:
-        raise ValueError("subsystems must be distinct and ascending")
-    if any(s < 0 or s >= n for s in subsystems):
-        raise ValueError(f"subsystem indices {subsystems} out of range")
     p = require_hermitian(proj)
-    sub_dims = [rho.dims[s] for s in subsystems]
-    d_sub = int(np.prod(sub_dims))
-    if p.shape != (d_sub, d_sub):
-        raise DimensionError(
-            f"operator shape {p.shape} != ({d_sub}, {d_sub}) for subsystems")
     if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
         raise ValidationError("projector is not idempotent")
-    p = p.reshape(sub_dims * 2)
-    legs, cols = list(range(k, 2 * k)), [n + s for s in subsystems]
-    # P rho P^dag: P on the row legs, then P^dag on the column legs.
-    t = rho.matrix.reshape(rho.dims * 2)
-    t = np.moveaxis(np.tensordot(p, t, axes=(legs, subsystems)),
-                    range(k), subsystems)
-    t = np.moveaxis(np.tensordot(t, p.conj(), axes=(cols, legs)),
-                    range(2 * n - k, 2 * n), cols)
-    out = t.reshape(rho.matrix.shape)
+    out, _ = apply_to_legs([p], rho.matrix, rho.dims, subsystems)
     prob = float(np.trace(out).real)
     if prob < 1e-12:
         return 0.0, None

@@ -140,6 +140,51 @@ def test_apply_dim_mismatch():
         apply(make_ad(0.3), rho, 1)
 
 
+def kron_reference(ops, rho, leg):
+    """Sum_K K rho K^dag on one leg: permute the leg to the front, apply
+    K (x) I on the rest, and permute back."""
+    dims, n = list(rho.dims), len(rho.dims)
+    perm = [leg] + [i for i in range(n) if i != leg]
+    rest = int(np.prod(dims)) // dims[leg]
+    m = rho.matrix.reshape(dims * 2).transpose(perm + [n + i for i in perm])
+    m = m.reshape(dims[leg] * rest, -1)
+    embed = [np.kron(k, np.eye(rest)) for k in ops]
+    out = sum(e @ m @ e.conj().T for e in embed)
+    moved = [ops[0].shape[0]] + [dims[i] for i in perm[1:]]
+    inv = list(np.argsort(perm))
+    out = out.reshape(moved * 2).transpose(inv + [n + i for i in inv])
+    d = int(np.prod(moved))
+    return out.reshape(d, d)
+
+
+def test_apply_middle_leg_matches_kron_reference():
+    rho = random_mixed_hs(8, RngSeed(3, 5), dims=(2, 2, 2))
+    for ch in (make_ad(0.3), make_d(0.6)):
+        out = apply(ch, rho, 1)
+        assert out.dims == (2, 2, 2)
+        np.testing.assert_allclose(out.matrix,
+                                   kron_reference(ch.kraus_ops, rho, 1),
+                                   atol=1e-12)
+
+
+def test_erasure_on_non_last_leg_matches_kron_reference():
+    rho = random_mixed_hs(8, RngSeed(3, 6), dims=(2, 2, 2))
+    ch = make_erasure(2.5)
+    for leg, dims in ((0, (3, 2, 2)), (1, (2, 3, 2))):
+        out = apply(ch, rho, leg)
+        assert out.dims == dims
+        np.testing.assert_allclose(out.matrix,
+                                   kron_reference(ch.kraus_ops, rho, leg),
+                                   atol=1e-12)
+
+
+def test_apply_rejects_out_of_range_subsystem():
+    rho = random_mixed_hs(4, RngSeed(3, 7), dims=(2, 2))
+    for subsystem in (2, -1):
+        with pytest.raises(ValueError):
+            apply(make_ad(0.3), rho, subsystem)
+
+
 def test_apply_disjoint_subsystems_commute():
     psi = max_entangled(2)
     rho = psi.density_matrix()

@@ -241,6 +241,11 @@ def test_cli_bad_arguments_exit_2():
         assert exc.value.code == 2
     assert cli_main(["verify", "--p", "2"]) == 2
     assert cli_main(["verify", "--k", "0.5"]) == 2
+    # seeds outside [0, 2**64) for both seed consumers: the Philox key of
+    # census and sweep, and verify's default_rng
+    for cmd in ("census", "sweep", "verify"):
+        for seed in ("-1", str(2**64)):
+            assert cli_main([cmd, "--seed", seed]) == 2
     # extension checks exactly the k it is given
     for k in ("2.5", "9", "0"):
         assert cli_main(["extension", "--k", k]) == 2

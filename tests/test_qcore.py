@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          ValidationError, eigvalsh, fidelity_pure,
-                          partial_trace, project_and_condition, tensor,
-                          von_neumann_entropy)
+                          ValidationError, fidelity_pure, partial_trace,
+                          project_and_condition, tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
@@ -25,6 +24,14 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(DimensionError):
         DensityMatrix((2, 3), np.eye(4) / 4)
+
+
+def test_cleaned_leaves_the_psd_gate_to_the_constructor():
+    # One PSD gate: noise within PSD_TOL passes, real negativity raises.
+    with pytest.raises(ValidationError):
+        DensityMatrix.cleaned(np.diag([1 + 1e-6, -1e-6]), (2,))
+    out = DensityMatrix.cleaned(np.diag([1 + 1e-12, -1e-12]), (2,))
+    np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-11)
 
 
 def test_tensor_identity_case():
@@ -93,36 +100,6 @@ def test_partial_trace_inverts_tensor(seed):
     a, b = mixed(2 * seed), mixed(2 * seed + 1)
     back = partial_trace(tensor(a, b), {0, 1})
     assert np.max(np.abs(back.matrix - a.matrix)) < 1e-12
-
-
-def test_eigvalsh_trivial_cases():
-    np.testing.assert_allclose(eigvalsh(np.eye(4) / 4), [0.25] * 4)
-    np.testing.assert_allclose(eigvalsh(np.diag([1.0, -1.0])), [1, -1])
-
-
-def test_eigvalsh_isotropic_spectrum():
-    # analytic mixture spectrum: (1+3p)/4 and three copies of (1-p)/4
-    w = eigvalsh(isotropic(0.5, 2).matrix)
-    np.testing.assert_allclose(w, [0.625, 0.125, 0.125, 0.125], atol=1e-12)
-
-
-def test_eigvalsh_descending_and_trace():
-    m = mixed(5, dims=(4,)).matrix
-    w = eigvalsh(m)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert abs(w.sum() - np.trace(m).real) < 1e-10
-
-
-def test_eigvalsh_reconstruction():
-    m = mixed(6, dims=(4,)).matrix
-    w, v = eigvalsh(m, eigenvectors=True)
-    recon = (v * w) @ v.conj().T
-    assert np.max(np.abs(recon - m)) < 1e-9
-
-
-def test_eigvalsh_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_entropy_pure_and_mixed():
