@@ -41,7 +41,7 @@ class KrausChannel:
         if any(e.ndim != 2 or e.shape[1] != d_in for e in ops):
             raise ValidationError("Kraus operators disagree on input dimension")
         s = sum(e.conj().T @ e for e in ops)
-        if np.max(np.abs(s - np.eye(d_in))) > COMPLETENESS_TOL:
+        if not np.max(np.abs(s - np.eye(d_in))) <= COMPLETENESS_TOL:
             raise ValidationError("completeness relation violated")
         for e in ops:
             e.flags.writeable = False
@@ -105,7 +105,7 @@ def make_depolarizing(p: float, d: int) -> KrausChannel:
 def make_erasure(k: float) -> KrausChannel:
     """Qubit-to-qutrit erasure: survive on levels {0,1} with probability
     1/k, else land in the flag level |2>."""
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
     keep = np.zeros((3, 2), dtype=complex)
     keep[0, 0] = keep[1, 1] = np.sqrt(1 / k)

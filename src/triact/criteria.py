@@ -40,7 +40,7 @@ class CorrelationMatrix:
         t = np.asarray(self.t, dtype=float)
         if t.shape != (3, 3):
             raise ValueError(f"expected 3x3 matrix, got {t.shape}")
-        if np.max(np.abs(t)) > 1 + 1e-10:
+        if not np.max(np.abs(t)) <= 1 + 1e-10:
             raise ValueError("correlation entries must lie in [-1, 1]")
         t.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -168,7 +168,7 @@ def chsh_value(rho: DensityMatrix, a, a2, b, b2) -> float:
     Bloch measurement directions, with E(a,b) = a^T T b."""
     vecs = [np.asarray(v, dtype=float) for v in (a, a2, b, b2)]
     for v in vecs:
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1) > 1e-10:
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1) <= 1e-10:
             raise ValueError("measurement settings must be unit 3-vectors")
     a, a2, b, b2 = vecs
     t = correlation_matrix(rho).t

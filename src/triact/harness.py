@@ -62,8 +62,10 @@ class ExperimentConfig:
             raise ValueError("sweeps need n_time_steps >= 2")
         if self.experiment == "protocol_verify" and not 0 <= self.p <= 1:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.experiment == "protocol_verify" and not self.k >= 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.experiment == "protocol_verify" and not (
+                1 <= self.k < protocols.MAX_ERASED_K):
+            raise ValueError(f"k must be in [1, {protocols.MAX_ERASED_K:g}),"
+                             f" got {self.k}")
         if self.experiment == "extension_verify" and not (
                 float(self.k).is_integer()
                 and 2 <= self.k <= protocols.MAX_EXTENSION_K):

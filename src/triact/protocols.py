@@ -28,6 +28,9 @@ from .states import erased, isotropic, max_entangled
 # its checks cover) and largest copy count for the extension (2 * 3^k).
 MAX_TELEPORT_D = 3
 MAX_EXTENSION_K = 4
+# From this k on, the erased protocol's success branch (probability
+# 1/(4k^2)) falls under the 1e-12 zero-probability marker.
+MAX_ERASED_K = 5e5
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,15 @@ def bell_state(d: int, index: int) -> PureState:
     return PureState((d, d), (psi @ w.T).reshape(-1))
 
 
-def _bell_projector(d: int, index: int) -> np.ndarray:
-    v = bell_state(d, index).amplitudes
-    return np.outer(v, v.conj())
+def _swap(ab, proj, cb, da: int, db1: int, db2: int, dc: int) -> np.ndarray:
+    """Entanglement swapping on raw arrays: the unnormalised (A, C) matrix
+    Tr_{B1 B2}[proj (rho_{A B1} (x) rho_{C B2})], each factor ordered
+    (outer party, Bob's share), without building the four-party array."""
+    ab = ab.reshape(da, db1, da, db1)
+    cb = cb.reshape(dc, db2, dc, db2)
+    proj = proj.reshape(db1, db2, db1, db2)
+    ac = np.einsum("xyij,aibx,cjdy->acbd", proj, ab, cb)
+    return ac.reshape(da * dc, da * dc)
 
 
 def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
@@ -72,17 +81,17 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     out1, out2 = bell_outcome
     if not all(0 <= out < d * d for out in (out1, out2)):
         raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
-    iso = isotropic(p, d).matrix.reshape(d, d, d, d)
+    iso = isotropic(p, d).matrix
     ws = weyl_operators(d)
     # Bell basis carries the Weyl on the prepared-state slot of each pair:
     # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
     v1 = bell_state(d, out1).amplitudes.reshape(d, d)
     v2 = ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)
     # w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's projection
-    # leaves B1 B2 in w, which the isotropic pairs carry to A and C.
-    w = v1.conj() @ phi.amplitudes.reshape(d, d) @ v2.conj()
-    half = np.einsum("aibj,ik,jl->akbl", iso, w, w.conj())
-    ac = np.einsum("akbl,kclf->acbf", half, iso).reshape(d * d, d * d)
+    # leaves B1 B2 in w, which the isotropic pairs carry to A and C; iso is
+    # symmetric under a party swap, so it serves as (A, B1) and (C, B2).
+    w = (v1.conj() @ phi.amplitudes.reshape(d, d) @ v2.conj()).reshape(-1)
+    ac = _swap(iso, np.outer(w.conj(), w), iso, d, d, d, d)
     prob = float(np.trace(ac).real)
     if prob < 1e-12:
         return ProtocolOutcome(0.0, None, (out1, out2))
@@ -98,13 +107,13 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
 def _eq2_terms(phi: PureState, p: float, d: int):
     """|phi><phi| and the local part of the Psi_+ branch mixture,
     p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C) + (1-p)^2 I/d (x) I/d."""
-    rho_phi = phi.density_matrix()
-    sigma_a = partial_trace(rho_phi, {0}).matrix
-    sigma_c = partial_trace(rho_phi, {1}).matrix
+    a = phi.amplitudes.reshape(d, d)
+    sigma_a = a @ a.conj().T
+    sigma_c = a.T @ a.conj()
     eye = np.eye(d) / d
     local = (p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
              + (1 - p)**2 * np.kron(eye, eye))
-    return rho_phi.matrix, local
+    return np.outer(a, a.conj()), local
 
 
 def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
@@ -176,7 +185,8 @@ M_B1 = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 
 def _erased_pair_state(k: float) -> DensityMatrix:
-    """erased(k)_{A B1} (x) erased(k)_{B2 C}, Bob holding both qutrits."""
+    """erased(k)_{A B1} (x) erased(k)_{B2 C}, Bob holding both qutrits:
+    the literal network that `erased_protocol` contracts without building."""
     ab = erased(k)
     # Second copy with the qutrit first: permute the (2, 3) state to (3, 2).
     t = ab.matrix.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6)
@@ -194,32 +204,31 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     for every outcome.  ``b_outcomes`` selects the first-step results; a
     1 on either side ends the protocol there.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not 0 <= bell_outcome < 4:
         raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
     b_outcomes = tuple(b_outcomes)
     if len(b_outcomes) != 2 or any(b not in (0, 1) for b in b_outcomes):
         raise ValueError(f"b_outcomes must be two of 0 or 1, got {b_outcomes}")
-    full = _erased_pair_state(k)  # dims (2, 3, 3, 2): A, B1, B2, C
-    proj1 = np.kron(M_B0 if b_outcomes[0] == 0 else M_B1,
-                    M_B0 if b_outcomes[1] == 0 else M_B1)
-    prob1, cond = project_and_condition(full, proj1, (1, 2))
-    if cond is None:
-        return ProtocolOutcome(0.0, None, b_outcomes)
-    if b_outcomes != (0, 0):
-        ac = partial_trace(cond, {0, 3})
-        return ProtocolOutcome(prob1, ac, b_outcomes)
-    # Bell measurement on (B1, B2), embedded in the qutrit pair.
-    bp = _bell_projector(2, bell_outcome)
-    embed = np.zeros((9, 9), dtype=complex)
-    qubit_idx = [r * 3 + c for r in (0, 1) for c in (0, 1)]
-    embed[np.ix_(qubit_idx, qubit_idx)] = bp
-    prob2, cond2 = project_and_condition(cond, embed, (1, 2))
-    if cond2 is None:
-        return ProtocolOutcome(0.0, None, b_outcomes + (bell_outcome,))
-    ac = partial_trace(cond2, {0, 3})
-    return ProtocolOutcome(prob1 * prob2, ac, b_outcomes + (bell_outcome,))
+    if b_outcomes == (0, 0):
+        # The Bell projector on the qubit levels of (B1, B2) lies inside
+        # M_B^0 (x) M_B^0, so it covers both measurement steps at once.
+        v = np.zeros((3, 3), dtype=complex)
+        v[:2, :2] = bell_state(2, bell_outcome).amplitudes.reshape(2, 2)
+        proj = np.outer(v, v.conj())
+        labels = b_outcomes + (bell_outcome,)
+    else:
+        proj = np.kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
+        labels = b_outcomes
+    # erased(k) is ordered (A, B1); the same matrix serves as (C, B2).
+    rho = erased(k).matrix
+    ac = _swap(rho, proj, rho, 2, 3, 3, 2)
+    prob = float(np.trace(ac).real)
+    if prob < 1e-12:
+        return ProtocolOutcome(0.0, None, labels)
+    return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (2, 2)),
+                           labels)
 
 
 def build_symmetric_extension(k: int) -> DensityMatrix:

@@ -46,7 +46,7 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: {a.shape}")
     dev = np.max(np.abs(a - a.conj().T))
-    if dev > tol:
+    if not dev <= tol:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return a
 
@@ -70,13 +70,9 @@ class PureState:
             raise DimensionError(
                 f"amplitude length {amps.size} != product of dims {total}")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValidationError(f"state not normalized: ||psi||^2 = {norm2}")
         amps.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
     def density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.dims, np.outer(self.amplitudes,
@@ -104,17 +100,13 @@ class DensityMatrix:
             raise DimensionError(
                 f"matrix shape {m.shape} != ({total}, {total}) from dims {dims}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace is {tr}, expected 1")
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -PSD_TOL:
+        if not lo >= -PSD_TOL:
             raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":

@@ -49,27 +49,18 @@ def isotropic(p: float, d: int = 2) -> DensityMatrix:
     return DensityMatrix((d, d), mat)
 
 
-def bell_pair_qutrit_embedded() -> DensityMatrix:
-    """|Psi_+^2><Psi_+^2| as a qubit (x) qutrit state (levels {0,1} of B)."""
-    mat = np.zeros((6, 6), dtype=complex)
-    # |00> -> index 0, |11> -> index 4 in the 2x3 layout.
-    for i in (0, 4):
-        for j in (0, 4):
-            mat[i, j] = 0.5
-    return DensityMatrix((2, 3), mat)
-
-
 def erased(k: float) -> DensityMatrix:
     """Qubit-qutrit state of a Bell pair sent through an erasure channel.
 
     With probability 1/k the pair survives on B-levels {0, 1}; otherwise
     B is left in the flag level |2> and A maximally mixed.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mat = bell_pair_qutrit_embedded().matrix / k
-    lost = np.kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
-    return DensityMatrix((2, 3), mat + (1 - 1 / k) * lost)
+    mat = (1 - 1 / k) * np.kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
+    # |Psi_+><Psi_+| / k: |00> and |11> are indices 0 and 4 of the 2x3 layout.
+    mat[np.ix_((0, 4), (0, 4))] += 0.5 / k
+    return DensityMatrix((2, 3), mat)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

@@ -22,13 +22,20 @@ def act(ch, mat):
 
 
 def test_completeness_enforced():
-    with pytest.raises(ValidationError):
-        KrausChannel((np.eye(2) * 0.5,))
+    for op in (np.eye(2) * 0.5, np.diag([np.nan, 1.0])):
+        with pytest.raises(ValidationError):
+            KrausChannel((op,))
     for make in (make_ad, make_pd, lambda t: make_pd(t, verbatim=True), make_d):
         for t in T_GRID:
             ch = make(t)
             s = sum(e.conj().T @ e for e in ch.kraus_ops)
             assert np.max(np.abs(s - np.eye(2))) <= 1e-10
+
+
+def test_erasure_rejects_nan_k():
+    for k in (0.5, np.nan):
+        with pytest.raises(ValueError, match="k must be"):
+            make_erasure(k)
 
 
 def test_strength_range_checked():

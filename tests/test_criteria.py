@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from triact.criteria import (TIE_TOLERANCE, chsh_value, classify,
-                             classify_batch, correlation_matrix,
+from triact.criteria import (TIE_TOLERANCE, CorrelationMatrix, chsh_value,
+                             classify, classify_batch, correlation_matrix,
                              hashing_criterion, horodecki_m, maximize_chsh)
 from triact.qcore import DensityMatrix
 from triact.states import RngSeed, isotropic, max_entangled, random_mixed_hs
@@ -34,6 +34,13 @@ def test_correlation_matrix_cases():
 def test_correlation_matrix_rejects_wrong_dims():
     with pytest.raises(ValueError):
         correlation_matrix(DensityMatrix((4,), np.eye(4) / 4))
+
+
+def test_correlation_matrix_container_rejects_nan():
+    t = np.eye(3)
+    t[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        CorrelationMatrix(t)
 
 
 def test_horodecki_m_cases():
@@ -138,6 +145,8 @@ def test_chsh_value_degenerate_settings():
 def test_chsh_value_rejects_non_unit_vectors():
     with pytest.raises(ValueError):
         chsh_value(BELL, (1, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError):
+        chsh_value(BELL, (np.nan, 0, 0), (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 def test_chsh_value_never_exceeds_tsirelson_form():

@@ -240,7 +240,10 @@ def test_cli_bad_arguments_exit_2():
             cli_main(argv)
         assert exc.value.code == 2
     assert cli_main(["verify", "--p", "2"]) == 2
-    assert cli_main(["verify", "--k", "0.5"]) == 2
+    # k below 1, and k where the erased success branch (1/(4k^2)) falls
+    # under the zero-probability marker, or not finite
+    for k in ("0.5", "5e5", "1e7", "inf", "nan"):
+        assert cli_main(["verify", "--k", k]) == 2
     # seeds outside [0, 2**64) for both seed consumers: the Philox key of
     # census and sweep, and verify's default_rng
     for cmd in ("census", "sweep", "verify"):

@@ -1,15 +1,20 @@
 """Oracles independent of the code they check: the sampler against the
-known Hilbert-Schmidt separability probability, and the criteria against
-the Peres condition.  The partial transpose is computed here, not through
-`criteria`."""
+known Hilbert-Schmidt separability probability, the criteria against
+the Peres condition, and the decoherence sweeps against properties every
+local channel must have.  The partial transpose is computed here, not
+through `criteria`, and the sweeps evolve each state with
+`local_decohere`, not with the harness's Kraus stack."""
 
 import numpy as np
 import pytest
 
+from triact.channels import local_decohere, make_ad, make_d, make_pd
 from triact.criteria import classify_batch
-from triact.states import RngSeed, random_mixed_hs
+from triact.states import RngSeed, random_mixed_hs, random_pure_fs
 
 N_STATES = 20000
+SWEEP_STATES = 7
+SWEEP_TS = np.linspace(0.0, 1.0, 201)
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +47,57 @@ def test_nonlocal_resources_are_npt(hs_states):
     flagged = cls["violates_chsh"] | cls["hashing_distillable"]
     assert flagged.any()
     assert not np.any(flagged & is_ppt(hs_states))
+
+
+@pytest.fixture(scope="module")
+def sweeps():
+    """classify_batch columns, shaped (state, t), of the first
+    SWEEP_STATES FS-random states of the sweep stream (seed 0) on
+    SWEEP_TS.  "PD_folded" is PD at 1 - |2t - 1|."""
+    psis = [random_pure_fs(4, RngSeed(0, i), dims=(2, 2))
+            for i in range(SWEEP_STATES)]
+    runs = {"AD": (make_ad, SWEEP_TS), "PD": (make_pd, SWEEP_TS),
+            "D": (make_d, SWEEP_TS),
+            "PD_verbatim": (lambda t: make_pd(t, verbatim=True), SWEEP_TS),
+            "PD_folded": (make_pd, 1 - np.abs(2 * SWEEP_TS - 1))}
+    out = {}
+    for name, (make, ts) in runs.items():
+        mats = np.array([local_decohere(psi, make, t).matrix
+                         for psi in psis for t in ts])
+        out[name] = {key: col.reshape(SWEEP_STATES, len(ts))
+                     for key, col in classify_batch(mats).items()}
+    return out
+
+
+def test_sweep_chsh_violation_never_grows(sweeps):
+    # AD, PD and D compose multiplicatively in 1 - t, and a local channel
+    # cannot raise the maximal CHSH value, so max(M, 1) cannot rise along
+    # t.  Below 1, M itself does rise along AD.
+    for channel in ("AD", "PD", "D"):
+        m = np.maximum(sweeps[channel]["m_value"], 1.0)
+        assert np.max(np.diff(m, axis=1)) <= 1e-12, channel
+
+
+def test_sweep_hashing_margin_never_grows_under_unital_channels(sweeps):
+    # A unital channel on one side cannot lower the conditional entropies
+    # S(A|B) and S(B|A).  AD is not unital, and there the margin rises.
+    for channel in ("PD", "D"):
+        cols = sweeps[channel]
+        margin = np.maximum(cols["s_a"], cols["s_b"]) - cols["s_ab"]
+        assert np.max(np.diff(margin, axis=1)) <= 1e-12, channel
+
+
+def test_sweep_flags_change_at_most_once(sweeps):
+    for channel in ("AD", "PD", "D"):
+        for flag in ("violates_chsh", "hashing_distillable"):
+            changes = np.diff(sweeps[channel][flag].astype(int), axis=1)
+            assert np.max(np.sum(changes != 0, axis=1)) <= 1, (channel, flag)
+
+
+def test_pd_verbatim_is_pd_at_folded_strength(sweeps):
+    # Verbatim PD scales the coherences by 2t - 1, PD by 1 - t': equal
+    # magnitudes at t' = 1 - |2t - 1|, and the sign is a local Z on both
+    # qubits, which leaves M and every entropy unchanged.
+    for key in ("m_value", "s_a", "s_b", "s_ab"):
+        dev = np.abs(sweeps["PD_verbatim"][key] - sweeps["PD_folded"][key])
+        assert np.max(dev) <= 1e-12, key

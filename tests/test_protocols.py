@@ -5,9 +5,9 @@ import pytest
 
 from triact.channels import weyl_operators
 from triact.criteria import horodecki_m
-from triact.protocols import (bell_state,
-                              build_symmetric_extension, double_teleport,
-                              eq2_mixture, erased_protocol,
+from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, ProtocolOutcome,
+                              bell_state, build_symmetric_extension,
+                              double_teleport, eq2_mixture, erased_protocol,
                               teleport_distribution,
                               verify_locality_observation, _erased_pair_state)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
@@ -219,6 +219,61 @@ def test_erased_protocol_rejects_bad_b_outcomes():
     for b_out in ((2, 0), (0, -1), (0,), (0, 0, 0)):
         with pytest.raises(ValueError):
             erased_protocol(3.0, 0, b_out)
+
+
+def test_erased_protocol_rejects_nan_k():
+    for k in (0.5, np.nan):
+        with pytest.raises(ValueError, match="k must be"):
+            erased_protocol(k)
+
+
+def literal_erased_protocol(k, bell_outcome, b_outcomes):
+    """Reference: the four-party state A, B1, B2, C conditioned on Bob's
+    first step, then on the Bell projector embedded in the qubit levels
+    of (B1, B2), then traced down to (A, C)."""
+    full = _erased_pair_state(k)
+    proj1 = np.kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
+    prob1, cond = project_and_condition(full, proj1, (1, 2))
+    if cond is None:
+        return 0.0, None, b_outcomes
+    if b_outcomes != (0, 0):
+        return prob1, partial_trace(cond, {0, 3}).matrix, b_outcomes
+    bp = bell_state(2, bell_outcome).amplitudes
+    embed = np.zeros((9, 9), dtype=complex)
+    idx = [r * 3 + c for r in (0, 1) for c in (0, 1)]
+    embed[np.ix_(idx, idx)] = np.outer(bp, bp.conj())
+    prob2, cond2 = project_and_condition(cond, embed, (1, 2))
+    labels = b_outcomes + (bell_outcome,)
+    if cond2 is None:
+        return 0.0, None, labels
+    return prob1 * prob2, partial_trace(cond2, {0, 3}).matrix, labels
+
+
+def test_erased_protocol_matches_literal_network():
+    for k in (1.0, 2.5, 7.5):
+        for b_out in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for b in range(4):
+                prob, ac, labels = literal_erased_protocol(k, b, b_out)
+                out = erased_protocol(k, b, b_out)
+                assert out.outcome_labels == labels
+                assert abs(out.success_probability - prob) <= 1e-12
+                if ac is None:
+                    assert out.conditional_state is None
+                else:
+                    dev = np.abs(out.conditional_state.matrix - ac)
+                    assert np.max(dev) <= 1e-12
+
+
+def test_erased_protocol_zero_marker_on_total_probability():
+    # The 1e-12 marker applies to the outcome's total probability: the
+    # success branch, 1/(4k^2), keeps its state just below MAX_ERASED_K
+    # and loses it from there on.
+    k = 0.999 * MAX_ERASED_K
+    below = erased_protocol(k, 2)
+    assert below.conditional_state is not None
+    assert abs(below.success_probability * 4 * k * k - 1) < 1e-9
+    assert erased_protocol(MAX_ERASED_K, 2) == ProtocolOutcome(0.0, None,
+                                                               (0, 0, 2))
 
 
 def test_erased_protocol_outcome_tree_sums_to_one():

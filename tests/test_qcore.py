@@ -24,6 +24,13 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # not PSD
     with pytest.raises(DimensionError):
         DensityMatrix((2, 3), np.eye(4) / 4)
+    # NaN compares false with every bound, so each gate must be written
+    # to fail unless its check holds.
+    for i, j in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex) / 2
+        m[i, j] = np.nan
+        with pytest.raises(ValidationError):
+            DensityMatrix((2,), m)
 
 
 def test_cleaned_leaves_the_psd_gate_to_the_constructor():
@@ -208,3 +215,5 @@ def test_fidelity_dim_mismatch():
 def test_pure_state_norm_enforced():
     with pytest.raises(ValidationError):
         PureState((2,), np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError):
+        PureState((2,), np.array([np.nan, 1.0]))

@@ -77,8 +77,11 @@ def test_erased_cases():
     m = erased(2).matrix
     bell_block = m[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
     assert abs(np.trace(bell_block).real - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        erased(0.5)
+    # NaN must fail at the gate, not in the eigensolver's LinAlgError
+    # (also a ValueError)
+    for k in (0.5, np.nan):
+        with pytest.raises(ValueError, match="k must be"):
+            erased(k)
 
 
 def test_erased_marginals():
