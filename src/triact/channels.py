@@ -150,9 +150,9 @@ def two_qubit_kraus_stack(make_channel, ts) -> np.ndarray:
     """Stacked two-qubit Kraus operators E_i (x) E_j over a grid of t.
 
     Shape (len(ts), k^2, 4, 4); used to vectorize decoherence sweeps.
+    One broadcast product forms every pair at once, from
+    kron(A, B)[2a + c, 2b + d] = A[a, b] B[c, d].
     """
-    stacks = []
-    for t in ts:
-        ops = make_channel(t).kraus_ops
-        stacks.append([np.kron(a, b) for a in ops for b in ops])
-    return np.array(stacks)
+    e = np.array([make_channel(t).kraus_ops for t in ts])
+    prod = e[:, :, None, :, None, :, None] * e[:, None, :, None, :, None, :]
+    return prod.reshape(len(e), -1, 4, 4)

@@ -194,12 +194,12 @@ def run_census(cfg: ExperimentConfig):
 def _sweep_chunk(seed: int, indices, channel: str, n_steps: int):
     ts = np.linspace(0.0, 1.0, n_steps)
     ops = channels.two_qubit_kraus_stack(CHANNELS[channel], ts)
-    ops_c = ops.conj()
     out = []
     for i in indices:
         psi = random_pure_fs(4, RngSeed(seed, i), dims=(2, 2))
-        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-        rho_t = np.einsum("tkab,bc,tkdc->tad", ops, rho, ops_c, optimize=True)
+        # E |psi><psi| E^dag = (E psi)(E psi)^dag: no density matrix needed
+        v = ops @ psi.amplitudes
+        rho_t = v.transpose(0, 2, 1) @ v.conj()
         flags = criteria.classify_batch(rho_t)["nonlocal_resource"]
         out.append(flags)
     return np.stack(out)

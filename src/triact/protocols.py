@@ -22,7 +22,7 @@ from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
 from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
                     project_and_condition, require_hermitian, tensor)
-from .states import erased, isotropic, max_entangled
+from .states import _isotropic_matrix, erased, max_entangled
 
 # Largest local dimension for the teleportation protocol (the dimensions
 # its checks cover) and largest copy count for the extension (2 * 3^k).
@@ -81,7 +81,7 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     out1, out2 = bell_outcome
     if not all(0 <= out < d * d for out in (out1, out2)):
         raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
-    iso = isotropic(p, d).matrix
+    iso = _isotropic_matrix(p, d)
     ws = weyl_operators(d)
     # Bell basis carries the Weyl on the prepared-state slot of each pair:
     # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).

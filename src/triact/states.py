@@ -41,12 +41,18 @@ def isotropic(p: float, d: int = 2) -> DensityMatrix:
 
     rho = p |Psi_+^d><Psi_+^d| + (1 - p) I / d^2.
     """
+    return DensityMatrix((d, d), _isotropic_matrix(p, d))
+
+
+def _isotropic_matrix(p: float, d: int) -> np.ndarray:
+    """The matrix of ``isotropic(p, d)``, for kernels that need no
+    validated container."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     psi = max_entangled(d)
     mat = p * np.outer(psi.amplitudes, psi.amplitudes.conj())
     mat += (1 - p) * np.eye(d * d) / d**2
-    return DensityMatrix((d, d), mat)
+    return mat
 
 
 def erased(k: float) -> DensityMatrix:

@@ -235,16 +235,33 @@ def test_local_decohere_ad_fidelity_closed_form():
         assert abs(fidelity_pure(out, psi) - expected) < 1e-12
 
 
+SWEEP_CHANNELS = (make_ad, make_pd, lambda t: make_pd(t, verbatim=True),
+                  make_d)
+
+
 def test_two_qubit_kraus_stack_matches_local_decohere():
     psi = max_entangled(2)
     ts = np.linspace(0, 1, 7)
-    ops = two_qubit_kraus_stack(make_ad, ts)
     rho = psi.density_matrix().matrix
-    rho_t = np.einsum("tkab,bc,tkdc->tad", ops, rho, ops.conj())
-    for i, t in enumerate(ts):
-        np.testing.assert_allclose(rho_t[i],
-                                   local_decohere(psi, make_ad, float(t)).matrix,
-                                   atol=1e-12)
+    for make in SWEEP_CHANNELS:
+        ops = two_qubit_kraus_stack(make, ts)
+        rho_t = np.einsum("tkab,bc,tkdc->tad", ops, rho, ops.conj())
+        for i, t in enumerate(ts):
+            np.testing.assert_allclose(
+                rho_t[i], local_decohere(psi, make, float(t)).matrix,
+                atol=1e-12)
+
+
+def test_two_qubit_kraus_stack_equals_kron_of_pairs():
+    """The stack holds exactly E_i (x) E_j, in (i, j) order, at each t."""
+    ts = np.linspace(0.0, 1.0, 1000)
+    for make in SWEEP_CHANNELS:
+        want = []
+        for t in ts:
+            ops = make(t).kraus_ops
+            want.append([np.kron(a, b) for a in ops for b in ops])
+        np.testing.assert_array_equal(two_qubit_kraus_stack(make, ts),
+                                      np.array(want))
 
 
 def test_weyl_operators_are_unitary_and_distinct():

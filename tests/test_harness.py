@@ -140,7 +140,7 @@ def test_sweep_trajectory_matches_batch_sweep(tmp_path):
     `criteria.classify` at each grid point."""
     path = tmp_path / "s.json"
     seen = set()
-    for channel in ("AD", "PD_verbatim"):
+    for channel in ("AD", "PD", "PD_verbatim", "D"):
         cfg = ExperimentConfig(experiment="decoherence_sweep", n_states=4,
                                n_time_steps=25, channel=channel, seed=9,
                                output_path=str(path), output_format="json")
