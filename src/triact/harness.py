@@ -110,11 +110,25 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _csv_cells(col: np.ndarray) -> list:
+    """``_fmt`` of every value of ``col``, with one format per dtype
+    picked once for the column; object columns go value by value."""
+    values = col.tolist()
+    kind = col.dtype.kind
+    if kind == "b":
+        return ["1" if x else "0" for x in values]
+    if kind in "iu":
+        return list(map(str, values))
+    if kind == "f":
+        return [f"{x:.12g}" for x in values]
+    return list(map(_fmt, values))
+
+
 def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
     """Write one record per row of ``cols`` (field name -> 1-D array, all
     of one length, in column order) and the summary, as CSV or JSON."""
-    rows = list(zip(*(c.tolist() for c in cols.values())))
     if cfg.output_format == "json":
+        rows = zip(*(c.tolist() for c in cols.values()))
         payload = {"records": [dict(zip(cols, row)) for row in rows],
                    "summary": summary}
         text = json.dumps(payload, indent=1) + "\n"
@@ -122,8 +136,7 @@ def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows(zip(*map(_csv_cells, cols.values())))
         for key in sorted(summary):
             writer.writerow([f"# {key}", _fmt(summary[key])])
         text = buf.getvalue()

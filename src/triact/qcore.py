@@ -10,6 +10,7 @@ convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -45,7 +46,7 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = _as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: {a.shape}")
-    dev = np.max(np.abs(a - a.conj().T))
+    dev = abs(a - a.conj().T).max()
     if not dev <= tol:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return a
@@ -65,7 +66,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         if any(d < 1 for d in dims):
             raise DimensionError(f"invalid dims {dims}")
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if amps.size != total:
             raise DimensionError(
                 f"amplitude length {amps.size} != product of dims {total}")
@@ -91,7 +92,7 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         if any(d < 1 for d in dims):
             raise DimensionError(f"invalid dims {dims}")
-        total = int(np.prod(dims))
+        total = math.prod(dims)
         if total > MAX_TOTAL_DIM:
             raise DimensionError(
                 f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
@@ -99,7 +100,7 @@ class DensityMatrix:
         if m.shape != (total, total):
             raise DimensionError(
                 f"matrix shape {m.shape} != ({total}, {total}) from dims {dims}")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace is {tr}, expected 1")
         lo = float(np.linalg.eigvalsh(m)[0])
@@ -128,7 +129,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityM
     """Kronecker product of states; dims concatenate in argument order."""
     factors = (a, b) + rest
     dims = tuple(d for f in factors for d in f.dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise DimensionError(
             f"tensor result dimension {total} exceeds cap {MAX_TOTAL_DIM}")
@@ -150,7 +151,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     for idx in sorted(traced, reverse=True):
         t = np.trace(t, axis1=idx, axis2=idx + len(dims))
         dims.pop(idx)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     return DensityMatrix(tuple(dims), t.reshape(d, d))
 
 
@@ -178,7 +179,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
         raise ValueError(f"subsystem indices {legs} out of range "
                          f"for {n} subsystems")
     sub_dims = [dims[s] for s in legs]
-    d_sub = int(np.prod(sub_dims))
+    d_sub = math.prod(sub_dims)
     stack = np.array(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[2] != d_sub or (
             k > 1 and stack.shape[1] != d_sub):
@@ -200,7 +201,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
     t = np.tensordot(t, stack.conj(), axes=([0] + [1 + c for c in cols],
                                             [0] + ins))
     t = np.moveaxis(t, range(2 * n - k, 2 * n), cols)
-    d_out = int(np.prod(out_dims))
+    d_out = math.prod(out_dims)
     return t.reshape(d_out, d_out), tuple(out_dims)
 
 

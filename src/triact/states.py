@@ -8,9 +8,11 @@ draws no matter which worker runs it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .qcore import DensityMatrix, PureState
 
@@ -22,9 +24,42 @@ class RngSeed:
     seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream_index"):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}") from None
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+            object.__setattr__(self, name, value)
+
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its key as-is.
+
+    ``Philox(key=key)`` first seeds itself from a fresh ``SeedSequence()``,
+    which draws OS entropy, and then overwrites the key.  Passed as the
+    seed, this object is asked for the key instead, so the state equals
+    ``Philox(key=key).state`` and no entropy is drawn.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not "
+                             f"{n_words} of {np.dtype(dtype)}")
+        return self.key
 
 
 def max_entangled(d: int) -> PureState:
@@ -69,8 +104,11 @@ def erased(k: float) -> DensityMatrix:
     return DensityMatrix((2, 3), mat)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    # both blocks in one draw, real block first: the same draws as two
+    # calls of ``shape`` each
+    real, imag = rng.standard_normal((2, *shape))
+    return real + 1j * imag
 
 
 def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
@@ -84,13 +122,13 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
     m = g @ g.conj().T
     return DensityMatrix(dims if dims is not None else (d_total,),
-                         m / np.trace(m).real)
+                         m / m.trace().real)
 
 
 def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
     """Fubini-Study-random pure state: normalized complex Gaussian vector."""
     if d_total < 2:
         raise ValueError(f"d_total must be >= 2, got {d_total}")
-    v = _complex_gaussian(rng.generator(), d_total)
+    v = _complex_gaussian(rng.generator(), (d_total,))
     return PureState(dims if dims is not None else (d_total,),
                      v / np.linalg.norm(v))

@@ -93,6 +93,31 @@ def test_census_json_output(tmp_path):
     assert payload["summary"]["frac_no_chsh_violation"] == s["frac_no_chsh_violation"]
 
 
+def test_csv_cells_match_per_value_fmt(tmp_path):
+    """Column-wise CSV formatting writes the bytes of ``_fmt`` applied
+    value by value, for every column kind the harness writes."""
+    cols = {
+        "flag": np.array([True, False, True, True, False, False, True]),
+        "index": np.arange(7),
+        "x": np.array([math.nan, math.inf, -0.0, 1e-300, 123456789012345.0,
+                       1234567.890123, -math.inf]),
+        "t_start": np.array([None, 0.25, None, 1 / 3, -0.0, 1e-300, None],
+                            dtype=object),
+    }
+    summary = {"n_states": 7, "channel": "D", "share": 2 / 3, "none": None}
+    path = tmp_path / "t.csv"
+    harness._write_table(ExperimentConfig(output_path=str(path)), cols,
+                         summary)
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in zip(*(c.tolist() for c in cols.values())):
+            writer.writerow([harness._fmt(x) for x in row])
+        for key in sorted(summary):
+            writer.writerow([f"# {key}", harness._fmt(summary[key])])
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
 def test_interval_record_extraction():
     ts = np.linspace(0, 1, 11)
     flags = np.zeros((3, 11), dtype=bool)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triact import states
 from triact.qcore import partial_trace
 from triact.states import (RngSeed, erased, isotropic, max_entangled,
                            random_mixed_hs, random_pure_fs)
@@ -142,3 +143,39 @@ def test_stream_independence_sanity():
         ys[i] = RngSeed(21, 2 * i + 1).generator().standard_normal()
     r = np.corrcoef(xs, ys)[0, 1]
     assert abs(r) < 0.05
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 17),
+                                          (2**64 - 1, 2**64 - 1)])
+def test_stream_equals_philox_keyed_directly(seed, stream):
+    ours = RngSeed(seed, stream).generator()
+    ref = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    got, want = ours.bit_generator.state, ref.bit_generator.state
+    assert got["bit_generator"] == want["bit_generator"] == "Philox"
+    for key in ("counter", "key"):
+        assert got["state"][key].dtype == want["state"][key].dtype
+        np.testing.assert_array_equal(got["state"][key], want["state"][key])
+    np.testing.assert_array_equal(got["buffer"], want["buffer"])
+    for key in ("buffer_pos", "has_uint32", "uinteger"):
+        assert got[key] == want[key]
+    np.testing.assert_array_equal(ours.standard_normal(64),
+                                  ref.standard_normal(64))
+
+
+def test_philox_key_serves_only_a_philox_key_request():
+    key = states._PhiloxKey(np.array([1, 2], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        key.generate_state(4, np.uint64)   # what PCG64 asks for
+    with pytest.raises(ValueError):
+        key.generate_state(2, np.uint32)
+
+
+def test_rng_seed_takes_integers_in_uint64_range():
+    seed = RngSeed(np.int64(3), np.uint64(2**64 - 1))
+    assert (type(seed.seed), type(seed.stream_index)) == (int, int)
+    assert (seed.seed, seed.stream_index) == (3, 2**64 - 1)
+    bad = [(1.5, 0), (0, 1.0), ("1", 0), (None, 0), (-1, 0), (0, -1),
+           (2**64, 0), (0, 2**64)]
+    for s, i in bad:
+        with pytest.raises(ValueError):
+            RngSeed(s, i)
