@@ -17,6 +17,7 @@ parametrization available for comparison.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,23 +30,29 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A finite set of Kraus operators satisfying sum E_i^dag E_i = I."""
+    """A finite set of Kraus operators satisfying sum E_i^dag E_i = I,
+    held as one read-only (k, d_out, d_in) array."""
 
-    kraus_ops: tuple
+    kraus_ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(e, dtype=complex) for e in self.kraus_ops)
-        if not ops:
+        try:
+            ops = np.array(self.kraus_ops, dtype=complex)
+        except ValueError as exc:
+            raise ValidationError("Kraus operators disagree in shape") from exc
+        if not len(ops):
             raise ValidationError("channel needs at least one Kraus operator")
-        d_in = ops[0].shape[1]
-        if any(e.ndim != 2 or e.shape[1] != d_in for e in ops):
-            raise ValidationError("Kraus operators disagree on input dimension")
-        s = sum(e.conj().T @ e for e in ops)
-        if not np.max(np.abs(s - np.eye(d_in))) <= COMPLETENESS_TOL:
+        if ops.ndim != 3:
+            raise ValidationError("Kraus operators must be matrices")
+        s = np.einsum("kji,kjl->il", ops.conj(), ops)
+        if not np.max(np.abs(s - np.eye(ops.shape[2]))) <= COMPLETENESS_TOL:
             raise ValidationError("completeness relation violated")
-        for e in ops:
-            e.flags.writeable = False
+        ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
+
+
+# I, sigma_x, sigma_y, sigma_z, the operators of PD and D up to weights.
+_PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *PAULI])
 
 
 def _check_t(t: float):
@@ -56,9 +63,8 @@ def _check_t(t: float):
 def make_ad(t: float) -> KrausChannel:
     """Amplitude damping: decay |1> -> |0> with probability t."""
     _check_t(t)
-    e0 = np.array([[1, 0], [0, np.sqrt(1 - t)]], dtype=complex)
-    e1 = np.array([[0, np.sqrt(t)], [0, 0]], dtype=complex)
-    return KrausChannel((e0, e1))
+    return KrausChannel(np.array([[[1, 0], [0, math.sqrt(1 - t)]],
+                                  [[0, math.sqrt(t)], [0, 0]]], dtype=complex))
 
 
 def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
@@ -69,19 +75,19 @@ def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
     alternative operators sqrt(t) I, sqrt(1 - t) sigma_z instead.
     """
     _check_t(t)
-    if verbatim:
-        ops = (np.sqrt(t) * np.eye(2), np.sqrt(1 - t) * PAULI[2])
-        return KrausChannel(ops)
-    ops = (np.sqrt(1 - t / 2) * np.eye(2), np.sqrt(t / 2) * PAULI[2])
-    return KrausChannel(ops)
+    a, b = (t, 1 - t) if verbatim else (1 - t / 2, t / 2)
+    # _PAULI_BASIS[::3] holds I and sigma_z
+    return KrausChannel(np.array([math.sqrt(a), math.sqrt(b)])[:, None, None]
+                        * _PAULI_BASIS[::3])
 
 
 def make_d(t: float) -> KrausChannel:
     """Qubit depolarization: rho' = (1 - t) rho + t I/2."""
     _check_t(t)
-    ops = (np.sqrt(1 - 3 * t / 4) * np.eye(2),) + tuple(
-        np.sqrt(t / 4) * s for s in PAULI)
-    return KrausChannel(ops)
+    w = math.sqrt(t / 4)
+    return KrausChannel(
+        np.array([math.sqrt(1 - 3 * t / 4), w, w, w])[:, None, None]
+        * _PAULI_BASIS)
 
 
 def make_depolarizing(p: float, d: int) -> KrausChannel:
@@ -107,13 +113,11 @@ def make_erasure(k: float) -> KrausChannel:
     1/k, else land in the flag level |2>."""
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    keep = np.zeros((3, 2), dtype=complex)
-    keep[0, 0] = keep[1, 1] = np.sqrt(1 / k)
-    lose0 = np.zeros((3, 2), dtype=complex)
-    lose0[2, 0] = np.sqrt(1 - 1 / k)
-    lose1 = np.zeros((3, 2), dtype=complex)
-    lose1[2, 1] = np.sqrt(1 - 1 / k)
-    return KrausChannel((keep, lose0, lose1))
+    # keep, then lose |0>, then lose |1>
+    ops = np.zeros((3, 3, 2), dtype=complex)
+    ops[0, 0, 0] = ops[0, 1, 1] = np.sqrt(1 / k)
+    ops[1, 2, 0] = ops[2, 2, 1] = np.sqrt(1 - 1 / k)
+    return KrausChannel(ops)
 
 
 @functools.lru_cache(maxsize=8)
@@ -153,6 +157,6 @@ def two_qubit_kraus_stack(make_channel, ts) -> np.ndarray:
     One broadcast product forms every pair at once, from
     kron(A, B)[2a + c, 2b + d] = A[a, b] B[c, d].
     """
-    e = np.array([make_channel(t).kraus_ops for t in ts])
+    e = np.stack([make_channel(t).kraus_ops for t in ts])
     prod = e[:, :, None, :, None, :, None] * e[:, None, :, None, :, None, :]
     return prod.reshape(len(e), -1, 4, 4)

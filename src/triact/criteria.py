@@ -29,6 +29,19 @@ PAULI = (
 # sigma_i (x) sigma_j stacked as a (9, 4, 4) array, row-major in (i, j).
 PAULI_KRON = np.stack([np.kron(a, b) for a in PAULI for b in PAULI])
 
+# Each sigma_i (x) sigma_j has one nonzero entry c per row a, at a column
+# b, and c is +-1 or +-i.  So Re Tr[rho P] sums four exact terms
+# Re(c rho[b, a]), each +-Re or +-Im of rho[b, a]: _T_TERMS[r, k] indexes
+# term r of T_k in the float view of a flattened rho, _T_SIGNS[r, k] is
+# its sign.  Rows run over a, the order in which
+# np.einsum("kab,nba->nk", PAULI_KRON, rho) accumulates, so the sums
+# agree with that einsum bit for bit.
+_k, _a, _b = np.nonzero(PAULI_KRON)
+_c = PAULI_KRON[_k, _a, _b]
+_T_TERMS = (2 * (4 * _b + _a) + (_c.imag != 0)).reshape(9, 4).T
+_T_SIGNS = (_c.real - _c.imag).reshape(9, 4).T
+del _k, _a, _b, _c
+
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -128,11 +141,20 @@ def classify_batch(mats: np.ndarray):
     """Vectorized `classify` over a stack of two-qubit matrices (n, 4, 4).
 
     Returns a dict of arrays with the Classification fields.  Used by the
-    Monte Carlo harness; agrees with `classify` entry by entry.
+    Monte Carlo harness; agrees with `classify` entry by entry.  T and
+    the marginals are sums of slices of the stack, bit-identical to the
+    PAULI_KRON einsum and to np.trace.
     """
     mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (n, 4, 4) stack of two-qubit "
+                         f"matrices, got shape {mats.shape}")
     n = mats.shape[0]
-    corr = np.einsum("kab,nba->nk", PAULI_KRON, mats).real.reshape(n, 3, 3)
+    x = mats.reshape(n, 16).view(float)
+    corr = x[:, _T_TERMS[0]] * _T_SIGNS[0]
+    for terms, signs in zip(_T_TERMS[1:], _T_SIGNS[1:]):
+        corr += x[:, terms] * signs
+    corr = corr.reshape(n, 3, 3)
     tt = np.einsum("nji,njk->nik", corr, corr)
     w = np.linalg.eigvalsh(tt)
     m = w[:, -1] + w[:, -2]
@@ -144,10 +166,10 @@ def classify_batch(mats: np.ndarray):
         return -np.sum(ev * np.log2(safe), axis=-1)
 
     t = mats.reshape(n, 2, 2, 2, 2)
-    rho_a = np.trace(t, axis1=2, axis2=4)
-    rho_b = np.trace(t, axis1=1, axis2=3)
-    s_a = entropy(rho_a)
-    s_b = entropy(rho_b)
+    marginals = np.empty((2, n, 2, 2), dtype=complex)
+    np.add(t[:, :, 0, :, 0], t[:, :, 1, :, 1], out=marginals[0])  # rho_A
+    np.add(t[:, 0, :, 0, :], t[:, 1, :, 1, :], out=marginals[1])  # rho_B
+    s_a, s_b = entropy(marginals)
     s_ab = entropy(mats)
     violates = m > 1 + TIE_TOLERANCE
     distillable = np.maximum(s_a, s_b) - s_ab > TIE_TOLERANCE

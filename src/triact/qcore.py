@@ -180,7 +180,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
                          f"for {n} subsystems")
     sub_dims = [dims[s] for s in legs]
     d_sub = math.prod(sub_dims)
-    stack = np.array(ops, dtype=complex)
+    stack = np.asarray(ops, dtype=complex)
     if stack.ndim != 3 or stack.shape[2] != d_sub or (
             k > 1 and stack.shape[1] != d_sub):
         raise DimensionError(f"operator shape {stack.shape[1:]} does not "

@@ -4,7 +4,7 @@ import pytest
 from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
                              make_d, make_depolarizing, make_erasure, make_pd,
                              two_qubit_kraus_stack, weyl_operators)
-from triact.criteria import correlation_matrix
+from triact.criteria import PAULI, correlation_matrix
 from triact.qcore import DensityMatrix, ValidationError, fidelity_pure, \
     partial_trace
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
@@ -30,6 +30,45 @@ def test_completeness_enforced():
             ch = make(t)
             s = sum(e.conj().T @ e for e in ch.kraus_ops)
             assert np.max(np.abs(s - np.eye(2))) <= 1e-10
+
+
+def test_kraus_channel_rejects_ragged_operators():
+    # Complete, but E_1 maps to a qutrit while E_0 stays on a qubit.
+    e = np.zeros((3, 2))
+    e[1, 1] = 1.0
+    with pytest.raises(ValidationError, match="disagree in shape"):
+        KrausChannel((np.diag([1.0, 0.0]), e))
+    with pytest.raises(ValidationError, match="at least one"):
+        KrausChannel(())
+
+
+def test_kraus_channel_holds_one_read_only_stack():
+    given = np.array([np.eye(2)])
+    ch = KrausChannel(given)
+    assert given.flags.writeable
+    assert ch.kraus_ops.shape == (1, 2, 2)
+    assert make_erasure(2.0).kraus_ops.shape == (3, 3, 2)
+    with pytest.raises(ValueError):
+        ch.kraus_ops[0, 0, 0] = 0
+
+
+def test_sweep_operators_equal_literal_formulas():
+    """AD, PD (both forms) and D on the sweep's 1000-point grid, bit for
+    bit against the operator formulas written out one by one."""
+    eye, z = np.eye(2), PAULI[2]
+    for t in np.linspace(0.0, 1.0, 1000):
+        for ch, ops in (
+                (make_ad(t), [np.array([[1, 0], [0, np.sqrt(1 - t)]]),
+                              np.array([[0, np.sqrt(t)], [0, 0]])]),
+                (make_pd(t), [np.sqrt(1 - t / 2) * eye, np.sqrt(t / 2) * z]),
+                (make_pd(t, verbatim=True),
+                 [np.sqrt(t) * eye, np.sqrt(1 - t) * z]),
+                (make_d(t), [np.sqrt(1 - 3 * t / 4) * eye]
+                 + [np.sqrt(t / 4) * s for s in PAULI])):
+            want = np.array(ops, dtype=complex)
+            np.testing.assert_array_equal(ch.kraus_ops, want)
+            np.testing.assert_array_equal(np.signbit(ch.kraus_ops.view(float)),
+                                          np.signbit(want.view(float)))
 
 
 def test_erasure_rejects_nan_k():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from triact.criteria import (TIE_TOLERANCE, CorrelationMatrix, chsh_value,
-                             classify, classify_batch, correlation_matrix,
-                             hashing_criterion, horodecki_m, maximize_chsh)
+from triact.channels import two_qubit_kraus_stack
+from triact.criteria import (PAULI_KRON, TIE_TOLERANCE, CorrelationMatrix,
+                             chsh_value, classify, classify_batch,
+                             correlation_matrix, hashing_criterion,
+                             horodecki_m, maximize_chsh)
+from triact.harness import CHANNELS
 from triact.qcore import DensityMatrix
-from triact.states import RngSeed, isotropic, max_entangled, random_mixed_hs
+from triact.states import (RngSeed, isotropic, max_entangled, random_mixed_hs,
+                           random_pure_fs)
 
 MAXMIX = DensityMatrix((2, 2), np.eye(4) / 4)
 BELL = max_entangled(2).density_matrix()
@@ -123,6 +127,66 @@ def test_classify_batch_matches_scalar():
         assert abs(batch["s_ab"][i] - c.s_ab) < 1e-10
         assert bool(batch["nonlocal_resource"][i]) == c.nonlocal_resource
         assert bool(batch["violates_chsh"][i]) == c.violates_chsh
+
+
+def einsum_classify_batch(mats):
+    """classify_batch by its defining formulas: T by the PAULI_KRON
+    einsum, the marginals by np.trace, one eigvalsh call per entropy."""
+    n = mats.shape[0]
+    corr = np.einsum("kab,nba->nk", PAULI_KRON, mats).real.reshape(n, 3, 3)
+    w = np.linalg.eigvalsh(np.einsum("nji,njk->nik", corr, corr))
+    m = w[:, -1] + w[:, -2]
+
+    def entropy(stack):
+        ev = np.clip(np.linalg.eigvalsh(stack), 0.0, None)
+        return -np.sum(ev * np.log2(np.where(ev > 1e-14, ev, 1.0)), axis=-1)
+
+    t = mats.reshape(n, 2, 2, 2, 2)
+    s_a = entropy(np.trace(t, axis1=2, axis2=4))
+    s_b = entropy(np.trace(t, axis1=1, axis2=3))
+    s_ab = entropy(mats)
+    violates = m > 1 + TIE_TOLERANCE
+    distillable = np.maximum(s_a, s_b) - s_ab > TIE_TOLERANCE
+    return {"m_value": m, "chsh_max": 2 * np.sqrt(np.clip(m, 0.0, None)),
+            "s_a": s_a, "s_b": s_b, "s_ab": s_ab, "violates_chsh": violates,
+            "hashing_distillable": distillable,
+            "nonlocal_resource": ~violates & distillable}
+
+
+def assert_classify_batch_bit_identical(mats):
+    got, want = classify_batch(mats), einsum_classify_batch(mats)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        np.testing.assert_array_equal(np.signbit(got[key]),
+                                      np.signbit(want[key]), err_msg=key)
+
+
+def test_classify_batch_bit_identical_on_census_chunks():
+    # A full 4096-state census chunk and the 1696-state last chunk of a
+    # 100k census, from the seed-0 stream; then a single matrix.
+    for idx in (range(4096), range(98304, 100000)):
+        assert_classify_batch_bit_identical(np.stack([
+            random_mixed_hs(4, RngSeed(0, i), dims=(2, 2)).matrix
+            for i in idx]))
+    assert_classify_batch_bit_identical(mixed(0).matrix[None])
+
+
+def test_classify_batch_bit_identical_on_sweep_states():
+    ts = np.linspace(0.0, 1.0, 1000)
+    for make in CHANNELS.values():
+        ops = two_qubit_kraus_stack(make, ts)
+        for i in range(3):
+            psi = random_pure_fs(4, RngSeed(0, i), dims=(2, 2)).amplitudes
+            v = np.einsum("tkab,b->tka", ops, psi)
+            assert_classify_batch_bit_identical(
+                v.transpose(0, 2, 1) @ v.conj())
+
+
+def test_classify_batch_requires_stack_of_4x4():
+    for shape in ((4, 4), (3, 3, 3), (2, 4, 4, 1), (2, 4, 2)):
+        with pytest.raises(ValueError, match=r"\(n, 4, 4\) stack"):
+            classify_batch(np.zeros(shape))
 
 
 def test_chsh_value_bell_optimal_settings():
