@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Run the CLI experiments from two source trees and cmp every output file
+# and every stdout, exit code included.
+#
+# Usage: scripts/compare_cli_outputs.sh BASE_DIR [HEAD_DIR]
+#
+# BASE_DIR and HEAD_DIR (default: the current directory) are checkouts
+# whose src/ holds the triact package.  Exits 1 if any output differs.
+# A change that moves digits on purpose edits this list and says so.
+set -euo pipefail
+
+base=$(cd "$1" && pwd)
+head=$(cd "${2:-.}" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# One experiment per line: a name, then the CLI arguments.
+experiments=(
+    "census census --n-states 5000 --out census.csv"
+    "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"
+    "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
+    "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"
+    "sweep_d sweep --channel d --n-states 50 --steps 300 --format json --out sweep_d.json"
+    "verify verify --out verify.json"
+    "iso_csv iso-curve --out iso.csv"
+    "iso_json iso-curve --format json --out iso.json"
+    "extension extension --k 4"
+)
+
+for side in base head; do
+    mkdir "$work/$side"
+    src=${!side}/src
+    for line in "${experiments[@]}"; do
+        read -r name args <<< "$line"
+        # shellcheck disable=SC2086
+        (cd "$work/$side" && { PYTHONPATH="$src" python -m triact.cli $args \
+            && echo "exit 0" || echo "exit $?"; } > "$name.stdout")
+    done
+done
+
+status=0
+diff <(ls "$work/base") <(ls "$work/head") || status=1
+for f in "$work"/base/*; do
+    name=$(basename "$f")
+    if cmp "$f" "$work/head/$name"; then
+        echo "same: $name"
+    else
+        status=1
+    fi
+done
+exit "$status"

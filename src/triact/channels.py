@@ -1,10 +1,9 @@
 """Quantum channels in operator-sum form.
 
 Covers the three single-qubit decoherence processes (amplitude damping,
-phase damping, depolarization) on a strength parameter t in [0, 1], the
-d-dimensional depolarizing channel whose Choi state is the isotropic
-state, and the qubit-to-qutrit erasure channel whose Choi state is the
-erased state.
+phase damping, depolarization) on a strength parameter t in [0, 1] and
+the qubit-to-qutrit erasure channel whose Choi state is the erased
+state.
 
 The printed phase-damping operators (sqrt(t) I, sqrt(1-t) sigma_z) act
 as the identity at t = 1 and as a unitary flip at t = 0, which inverts
@@ -45,7 +44,7 @@ class KrausChannel:
         if ops.ndim != 3:
             raise ValidationError("Kraus operators must be matrices")
         s = np.einsum("kji,kjl->il", ops.conj(), ops)
-        if not np.max(np.abs(s - np.eye(ops.shape[2]))) <= COMPLETENESS_TOL:
+        if not abs(s - np.eye(ops.shape[2])).max() <= COMPLETENESS_TOL:
             raise ValidationError("completeness relation violated")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
@@ -88,24 +87,6 @@ def make_d(t: float) -> KrausChannel:
     return KrausChannel(
         np.array([math.sqrt(1 - 3 * t / 4), w, w, w])[:, None, None]
         * _PAULI_BASIS)
-
-
-def make_depolarizing(p: float, d: int) -> KrausChannel:
-    """d-dimensional depolarizing channel Lambda_p(s) = p s + (1 - p) I/d.
-
-    Its Choi state (one half of |Psi_+^d> sent through) is the isotropic
-    state at the same p.  Kraus operators: the weighted identity plus the
-    d^2 Heisenberg-Weyl unitaries.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    ws = weyl_operators(d)
-    q = (1 - p) / d**2
-    ops = [np.sqrt(p + q) * np.eye(d)]
-    ops += [np.sqrt(q) * w for w in ws[1:]]
-    return KrausChannel(tuple(ops))
 
 
 def make_erasure(k: float) -> KrausChannel:

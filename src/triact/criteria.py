@@ -44,22 +44,6 @@ del _k, _a, _b, _c
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """3x3 real matrix T with T_ij = Tr[rho (sigma_i (x) sigma_j)]."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        if t.shape != (3, 3):
-            raise ValueError(f"expected 3x3 matrix, got {t.shape}")
-        if not np.max(np.abs(t)) <= 1 + 1e-10:
-            raise ValueError("correlation entries must lie in [-1, 1]")
-        t.flags.writeable = False
-        object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True)
 class Classification:
     """Per-state record of the CHSH and distillability criteria."""
 
@@ -78,12 +62,10 @@ def _require_two_qubit(rho: DensityMatrix):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
 
 
-def correlation_matrix(rho: DensityMatrix) -> CorrelationMatrix:
+def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
+    """Real 3x3 matrix T with T_ij = Tr[rho (sigma_i (x) sigma_j)]."""
     _require_two_qubit(rho)
-    vals = np.einsum("kab,ba->k", PAULI_KRON, rho.matrix)
-    if np.max(np.abs(vals.imag)) > 1e-10:
-        raise ValueError("correlation entries carry an imaginary residue")
-    return CorrelationMatrix(vals.real.reshape(3, 3))
+    return np.einsum("kab,ba->k", PAULI_KRON, rho.matrix).real.reshape(3, 3)
 
 
 def horodecki_m(rho: DensityMatrix) -> float:
@@ -92,29 +74,20 @@ def horodecki_m(rho: DensityMatrix) -> float:
     The state violates CHSH iff M > 1; the maximal CHSH value is
     2 sqrt(M).
     """
-    t = correlation_matrix(rho).t
+    t = correlation_matrix(rho)
     w = np.linalg.eigvalsh(t.T @ t)
     return float(w[-1] + w[-2])
 
 
-def hashing_criterion(rho: DensityMatrix, cut=None):
-    """Entropic one-way distillability check on a bipartition.
+def hashing_criterion(rho: DensityMatrix):
+    """Entropic one-way distillability check on a two-party state.
 
-    Returns (s_a, s_b, s_ab, distillable) in bits.  ``cut`` names the
-    subsystem indices of the first party; default is the first half of
-    a two-factor state.
+    Returns (s_a, s_b, s_ab, distillable) in bits.
     """
-    n = len(rho.dims)
-    if cut is None:
-        if n != 2:
-            raise ValueError("cut is required for states with != 2 subsystems")
-        cut = {0}
-    cut = set(int(i) for i in cut)
-    rest = set(range(n)) - cut
-    if not cut or not rest or not cut <= set(range(n)):
-        raise ValueError(f"invalid bipartition {sorted(cut)} of {n} subsystems")
-    s_a = von_neumann_entropy(partial_trace(rho, cut))
-    s_b = von_neumann_entropy(partial_trace(rho, rest))
+    if len(rho.dims) != 2:
+        raise ValueError(f"expected a two-party state, got dims {rho.dims}")
+    s_a = von_neumann_entropy(partial_trace(rho, {0}))
+    s_b = von_neumann_entropy(partial_trace(rho, {1}))
     s_ab = von_neumann_entropy(rho)
     return s_a, s_b, s_ab, bool(max(s_a, s_b) - s_ab > TIE_TOLERANCE)
 
@@ -193,7 +166,7 @@ def chsh_value(rho: DensityMatrix, a, a2, b, b2) -> float:
         if v.shape != (3,) or not abs(np.linalg.norm(v) - 1) <= 1e-10:
             raise ValueError("measurement settings must be unit 3-vectors")
     a, a2, b, b2 = vecs
-    t = correlation_matrix(rho).t
+    t = correlation_matrix(rho)
     return float(a @ t @ b + a @ t @ b2 + a2 @ t @ b - a2 @ t @ b2)
 
 
@@ -205,7 +178,7 @@ def maximize_chsh(rho: DensityMatrix, restarts: int = 10, rounds: int = 100,
     align with T(b + b') and T(b - b'); symmetrically for (b, b') given
     (a, a').  Serves as an independent oracle for 2 sqrt(M).
     """
-    t = correlation_matrix(rho).t
+    t = correlation_matrix(rho)
     rng = np.random.default_rng(seed)
 
     def unit(v):

@@ -14,6 +14,7 @@ single-copy locality against k measurements on B.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,16 @@ class ProtocolOutcome:
     outcome_labels: tuple
 
 
+def _as_int(value, name: str, error=ValueError) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
+    index = _as_int(index, "Bell index")
     if not 0 <= index < d * d:
         raise ValueError(f"Bell index {index} out of range for d={d}")
     w = weyl_operators(d)[index]
@@ -78,7 +87,7 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
         raise DimensionError(f"d={d} outside supported range [2, {MAX_TELEPORT_D}]")
     if phi.dims != (d, d):
         raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
-    out1, out2 = bell_outcome
+    out1, out2 = (_as_int(out, "Bell outcome") for out in bell_outcome)
     if not all(0 <= out < d * d for out in (out1, out2)):
         raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
     iso = _isotropic_matrix(p, d)
@@ -129,7 +138,6 @@ class TeleportDistribution:
     joint: np.ndarray
     p_phi: np.ndarray
     p_loc: np.ndarray
-    phi_weight: float
     residual: float
 
 
@@ -175,7 +183,7 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
         loc_mat = np.eye(d * d) / d**2
     p_loc = _joint_table(loc_mat, alice, charlie)
     residual = float(np.max(np.abs(joint - p**2 * p_phi - (1 - p**2) * p_loc)))
-    return TeleportDistribution(joint, p_phi, p_loc, p**2, residual)
+    return TeleportDistribution(joint, p_phi, p_loc, residual)
 
 
 # Projector onto the unerased qubit subspace of a qutrit (M_B^0); its
@@ -206,6 +214,7 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     """
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    bell_outcome = _as_int(bell_outcome, "bell_outcome")
     if not 0 <= bell_outcome < 4:
         raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
     b_outcomes = tuple(b_outcomes)
@@ -237,6 +246,7 @@ def build_symmetric_extension(k: int) -> DensityMatrix:
     rho = (1/k) sum_i Bell(A, B_i) (x) |2><2| on the other B's; the Bobs
     are exchangeable by construction.
     """
+    k = _as_int(k, "k", DimensionError)
     if not 2 <= k <= MAX_EXTENSION_K:
         raise DimensionError(f"k={k} outside supported range [2, {MAX_EXTENSION_K}]")
     dims = (2,) + (3,) * k
@@ -245,14 +255,10 @@ def build_symmetric_extension(k: int) -> DensityMatrix:
     for i in range(k):
         psi = np.zeros(total, dtype=complex)
         for q in (0, 1):
-            vec = np.zeros(2)
-            vec[q] = 1.0  # |q> on A
-            for j in range(k):
-                lev = q if j == i else 2
-                e = np.zeros(3)
-                e[lev] = 1.0
-                vec = np.kron(vec, e)
-            psi += vec / np.sqrt(2)
+            # |q> on A and B_i, |2> on the other B's
+            levels = [2] * k
+            levels[i] = q
+            psi[np.ravel_multi_index((q, *levels), dims)] = 1 / np.sqrt(2)
         mat += np.outer(psi, psi.conj()) / k
     return DensityMatrix(dims, mat)
 

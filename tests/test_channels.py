@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
-                             make_d, make_depolarizing, make_erasure, make_pd,
+                             make_d, make_erasure, make_pd,
                              two_qubit_kraus_stack, weyl_operators)
 from triact.criteria import PAULI, correlation_matrix
 from triact.qcore import DensityMatrix, ValidationError, fidelity_pure, \
@@ -19,6 +19,14 @@ def qubit(mat):
 
 def act(ch, mat):
     return apply(ch, qubit(mat), 0).matrix
+
+
+def make_depolarizing(p, d):
+    """d-dimensional depolarizing channel s -> p s + (1 - p) I/d: the
+    weighted identity plus the d^2 - 1 other Heisenberg-Weyl unitaries."""
+    q = (1 - p) / d**2
+    return KrausChannel([np.sqrt(p + q) * np.eye(d)]
+                        + [np.sqrt(q) * w for w in weyl_operators(d)[1:]])
 
 
 def test_completeness_enforced():
@@ -244,7 +252,7 @@ def test_d_on_both_qubits_gives_werner_correlations():
     for t in (0.2, 0.6):
         out = local_decohere(max_entangled(2), make_d, t)
         c = (1 - t) ** 2
-        np.testing.assert_allclose(correlation_matrix(out).t,
+        np.testing.assert_allclose(correlation_matrix(out),
                                    np.diag([c, -c, c]), atol=1e-12)
 
 

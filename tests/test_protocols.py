@@ -59,9 +59,16 @@ def test_double_teleport_matches_literal_network():
             assert np.max(np.abs(out.conditional_state.matrix - want)) <= 1e-10
 
 
+def test_bell_state_rejects_bad_index():
+    for index in (-1, 4, 1.5):
+        with pytest.raises(ValueError, match="Bell index"):
+            bell_state(2, index)
+
+
 def test_double_teleport_rejects_bad_outcomes():
     phi = max_entangled(2)
-    for outcome in ((0, -1), (-1, 0), (0, 4), (4, 0), (16, 16)):
+    for outcome in ((0, -1), (-1, 0), (0, 4), (4, 0), (16, 16), (1.5, 0),
+                    (0, 1.5)):
         with pytest.raises(ValueError):
             double_teleport(phi, 0.7, 2, outcome)
 
@@ -221,6 +228,12 @@ def test_erased_protocol_rejects_bad_b_outcomes():
             erased_protocol(3.0, 0, b_out)
 
 
+def test_erased_protocol_rejects_bad_bell_outcome():
+    for outcome in (-1, 4, 1.5):
+        with pytest.raises(ValueError, match="bell_outcome"):
+            erased_protocol(2.0, outcome)
+
+
 def test_erased_protocol_rejects_nan_k():
     for k in (0.5, np.nan):
         with pytest.raises(ValueError, match="k must be"):
@@ -307,8 +320,9 @@ def test_symmetric_extension_permutation_invariant():
 
 
 def test_symmetric_extension_k_cap():
-    with pytest.raises(DimensionError):
-        build_symmetric_extension(5)
+    for k in (1, 5, 2.5):
+        with pytest.raises(DimensionError):
+            build_symmetric_extension(k)
 
 
 def test_verify_locality_observation_erased_parent():
