@@ -17,6 +17,7 @@ trap 'rm -rf "$work"' EXIT
 # One experiment per line: a name, then the CLI arguments.
 experiments=(
     "census census --n-states 5000 --out census.csv"
+    "census_t2 census --n-states 5000 --threads 2 --out census_t2.csv"
     "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"

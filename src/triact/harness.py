@@ -15,14 +15,13 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, criteria, protocols
 from .qcore import PureState, fidelity_pure, partial_trace
-from .states import RngSeed, erased, isotropic, max_entangled, \
+from .states import RngSeed, _isotropic_matrix, erased, max_entangled, \
     random_mixed_hs, random_pure_fs
 
 CHANNELS = {
@@ -157,6 +156,8 @@ def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):
     workers = min(cfg.threads, len(chunk_args))
     if workers == 1:
         return [worker(*a) for a in chunk_args]
+    # Imported here: a serial run never loads the process-pool machinery.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, *zip(*chunk_args)))
 
@@ -368,34 +369,34 @@ def run_extension_verify(cfg: ExperimentConfig):
 
 # -------------------------------------------------------------- iso curve
 
-ISO_CURVE_FIELDS = ("p", "m_value", "chsh_max", "hashing_margin",
-                    "activated_chsh")
-
-
 def run_iso_curve(cfg: ExperimentConfig):
     """Nonlocality quantities of the two-qubit isotropic state on a
     201-point p grid, with the activated CHSH value computed through the
-    double-teleportation protocol rather than the closed form."""
-    records = []
+    double-teleportation protocol rather than the closed form.  Both the
+    isotropic states and the conditional states are classified in one
+    batch each."""
+    ps = np.linspace(0.0, 1.0, 201)
+    cls = criteria.classify_batch(np.stack([_isotropic_matrix(p, 2)
+                                            for p in ps]))
     phi = max_entangled(2)
-    for p in np.linspace(0.0, 1.0, 201):
-        rho = isotropic(p, 2)
-        cls = criteria.classify(rho)
-        out = protocols.double_teleport(phi, float(p), 2, (0, 0))
-        act = 2 * math.sqrt(criteria.horodecki_m(out.conditional_state))
-        records.append({
-            "p": float(p),
-            "m_value": cls.m_value,
-            "chsh_max": cls.chsh_max,
-            "hashing_margin": max(cls.s_a, cls.s_b) - cls.s_ab,
-            "activated_chsh": act,
-        })
+    conditional = np.stack([
+        protocols.double_teleport(phi, float(p), 2, (0, 0))
+        .conditional_state.matrix for p in ps])
+    act = criteria.classify_batch(conditional)["chsh_max"]
+    cols = {
+        "p": ps,
+        "m_value": cls["m_value"],
+        "chsh_max": cls["chsh_max"],
+        "hashing_margin": np.maximum(cls["s_a"], cls["s_b"]) - cls["s_ab"],
+        "activated_chsh": act,
+    }
+    rows = zip(*(c.tolist() for c in cols.values()))
+    records = [dict(zip(cols, row)) for row in rows]
     crossing = next((r["p"] for r in records if r["activated_chsh"] > 2),
                     None)
     summary = {"activated_crossing_p": crossing}
     if cfg.output_path:
-        _write_table(cfg, {f: np.array([r[f] for r in records])
-                           for f in ISO_CURVE_FIELDS}, summary)
+        _write_table(cfg, cols, summary)
     return {"records": records, **summary}
 
 

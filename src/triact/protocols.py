@@ -23,7 +23,7 @@ from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
 from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
                     project_and_condition, require_hermitian, tensor)
-from .states import _isotropic_matrix, erased, max_entangled
+from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
 # its checks cover) and largest copy count for the extension (2 * 3^k).
@@ -54,7 +54,7 @@ def bell_state(d: int, index: int) -> PureState:
     if not 0 <= index < d * d:
         raise ValueError(f"Bell index {index} out of range for d={d}")
     w = weyl_operators(d)[index]
-    psi = max_entangled(d).amplitudes.reshape(d, d)
+    psi = _psi_plus(d).reshape(d, d)
     return PureState((d, d), (psi @ w.T).reshape(-1))
 
 
@@ -92,10 +92,11 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
         raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
     iso = _isotropic_matrix(p, d)
     ws = weyl_operators(d)
+    psi = _psi_plus(d).reshape(d, d)
     # Bell basis carries the Weyl on the prepared-state slot of each pair:
     # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
-    v1 = bell_state(d, out1).amplitudes.reshape(d, d)
-    v2 = ws[out2] @ max_entangled(d).amplitudes.reshape(d, d)
+    v1 = psi @ ws[out1].T
+    v2 = ws[out2] @ psi
     # w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's projection
     # leaves B1 B2 in w, which the isotropic pairs carry to A and C; iso is
     # symmetric under a party swap, so it serves as (A, B1) and (C, B2).
@@ -217,7 +218,7 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     bell_outcome = _as_int(bell_outcome, "bell_outcome")
     if not 0 <= bell_outcome < 4:
         raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
-    b_outcomes = tuple(b_outcomes)
+    b_outcomes = tuple(_as_int(b, "b_outcomes") for b in b_outcomes)
     if len(b_outcomes) != 2 or any(b not in (0, 1) for b in b_outcomes):
         raise ValueError(f"b_outcomes must be two of 0 or 1, got {b_outcomes}")
     if b_outcomes == (0, 0):

@@ -11,6 +11,7 @@ convention.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterable, Sequence
@@ -125,6 +126,14 @@ class DensityMatrix:
         return cls(tuple(dims), m / tr)
 
 
+def _subsystem_indices(indices) -> list:
+    try:
+        return [operator.index(i) for i in indices]
+    except TypeError:
+        raise ValueError(f"subsystem indices must be integers, "
+                         f"got {indices!r}") from None
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityMatrix:
     """Kronecker product of states; dims concatenate in argument order."""
     factors = (a, b) + rest
@@ -139,7 +148,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityM
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``; kept order is preserved."""
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(_subsystem_indices(keep)))
     n = len(rho.dims)
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -171,7 +180,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
     either square on those legs, or maps a single leg to a new dimension
     (d_out x d_in).  Returns ``(out_matrix, out_dims)``.
     """
-    legs = [int(s) for s in legs]
+    legs = _subsystem_indices(legs)
     n, k = len(dims), len(legs)
     if sorted(set(legs)) != legs:
         raise ValueError("subsystems must be distinct and ascending")

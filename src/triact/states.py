@@ -8,11 +8,11 @@ draws no matter which worker runs it.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .qcore import DensityMatrix, PureState
 
@@ -38,37 +38,55 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
 
 
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its key as-is.
+@functools.cache
+def _philox_key_type():
+    """The seed type below, defined on the first ``generator()`` call:
+    its base class lives in numpy.random, which ``import triact`` then
+    does not load."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    ``Philox(key=key)`` first seeds itself from a fresh ``SeedSequence()``,
-    which draws OS entropy, and then overwrites the key.  Passed as the
-    seed, this object is asked for the key instead, so the state equals
-    ``Philox(key=key).state`` and no entropy is drawn.
-    """
+    class PhiloxKey(ISeedSequence):
+        """Hands Philox its key as-is.
 
-    __slots__ = ("key",)
+        ``Philox(key=key)`` first seeds itself from a fresh
+        ``SeedSequence()``, which draws OS entropy, and then overwrites
+        the key.  Passed as the seed, this object is asked for the key
+        instead, so the state equals ``Philox(key=key).state`` and no
+        entropy is drawn.
+        """
 
-    def __init__(self, key: np.ndarray):
-        self.key = key
+        __slots__ = ("key",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a Philox key is 2 uint64 words, not "
-                             f"{n_words} of {np.dtype(dtype)}")
-        return self.key
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is 2 uint64 words, not "
+                                 f"{n_words} of {np.dtype(dtype)}")
+            return self.key
+
+    return PhiloxKey
 
 
-def max_entangled(d: int) -> PureState:
-    """|Psi_+^d> = sum_i |ii> / sqrt(d)."""
+@functools.lru_cache(maxsize=8)
+def _psi_plus(d: int) -> np.ndarray:
+    """The d^2 amplitudes of |Psi_+^d>, built once per d and shared,
+    hence read-only."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
-    return PureState((d, d), amps)
+    amps.flags.writeable = False
+    return amps
+
+
+def max_entangled(d: int) -> PureState:
+    """|Psi_+^d> = sum_i |ii> / sqrt(d)."""
+    return PureState((d, d), _psi_plus(d))
 
 
 def isotropic(p: float, d: int = 2) -> DensityMatrix:
@@ -84,8 +102,8 @@ def _isotropic_matrix(p: float, d: int) -> np.ndarray:
     validated container."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    psi = max_entangled(d)
-    mat = p * np.outer(psi.amplitudes, psi.amplitudes.conj())
+    psi = _psi_plus(d)
+    mat = p * np.outer(psi, psi.conj())
     mat += (1 - p) * np.eye(d * d) / d**2
     return mat
 

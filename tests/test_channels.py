@@ -239,6 +239,15 @@ def test_apply_rejects_out_of_range_subsystem():
             apply(make_ad(0.3), rho, subsystem)
 
 
+def test_apply_rejects_non_integer_subsystem():
+    rho = random_mixed_hs(4, RngSeed(3, 8), dims=(2, 2))
+    for subsystem in (0.5, 1.0, None):
+        with pytest.raises(ValueError, match="integers"):
+            apply(make_d(0.1), rho, subsystem)
+    np.testing.assert_array_equal(apply(make_d(0.1), rho, np.int64(1)).matrix,
+                                  apply(make_d(0.1), rho, 1).matrix)
+
+
 def test_apply_disjoint_subsystems_commute():
     psi = max_entangled(2)
     rho = psi.density_matrix()

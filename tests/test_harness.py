@@ -1,8 +1,13 @@
+import concurrent.futures
 import csv
 import dataclasses
 import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +67,8 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    # _run_chunked imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     run_census(census_cfg(n_states=10, threads=1000))
     assert built == []
     run_census(census_cfg(n_states=4100, threads=1000))
@@ -221,6 +227,20 @@ def test_iso_curve_grid(tmp_path):
     assert abs(last["chsh_max"] - 2 * math.sqrt(2)) < 1e-9
     # activated CHSH crosses 2 at p = 2^(-1/4), within one grid step
     assert abs(out["activated_crossing_p"] - 2 ** -0.25) <= 1 / 200 + 1e-12
+
+
+def test_cli_import_leaves_numpy_random_and_process_pool_unloaded():
+    """numpy.random loads with the first sample stream and the process
+    pool with the first run on more than one worker, not on import."""
+    import triact
+    src = str(Path(triact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, triact.cli; print([m for m in ('numpy.random', "
+            "'concurrent.futures.process') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_verify_exit_code(capsys):

@@ -3,14 +3,21 @@ known Hilbert-Schmidt separability probability, the criteria against
 the Peres condition, and the decoherence sweeps against properties every
 local channel must have.  The partial transpose is computed here, not
 through `criteria`, and the sweeps evolve each state with
-`local_decohere`, not with the harness's Kraus stack."""
+`local_decohere`, not with the harness's Kraus stack.  The batch
+iso-curve is checked against the scalar `classify` and `horodecki_m`."""
+
+import math
 
 import numpy as np
 import pytest
 
+from triact import criteria
 from triact.channels import local_decohere, make_ad, make_d, make_pd
-from triact.criteria import classify_batch
-from triact.states import RngSeed, random_mixed_hs, random_pure_fs
+from triact.criteria import classify, classify_batch, horodecki_m
+from triact.harness import ExperimentConfig, run_iso_curve
+from triact.protocols import double_teleport
+from triact.states import (RngSeed, _isotropic_matrix, isotropic,
+                           max_entangled, random_mixed_hs, random_pure_fs)
 
 N_STATES = 20000
 SWEEP_STATES = 7
@@ -101,3 +108,33 @@ def test_pd_verbatim_is_pd_at_folded_strength(sweeps):
     for key in ("m_value", "s_a", "s_b", "s_ab"):
         dev = np.abs(sweeps["PD_verbatim"][key] - sweeps["PD_folded"][key])
         assert np.max(dev) <= 1e-12, key
+
+
+def test_isotropic_matrix_is_the_validated_matrix():
+    for d in (2, 3):
+        for p in (0.0, 0.3, 2 ** -0.25, 1.0):
+            assert (_isotropic_matrix(p, d).tobytes()
+                    == isotropic(p, d).matrix.tobytes())
+
+
+def test_iso_curve_equals_the_scalar_path(monkeypatch):
+    """Every iso-curve record equals the scalar path exactly.  The runner
+    then runs with `classify` and `horodecki_m` disabled, so the batch
+    path cannot lean on the oracle it is checked against."""
+    phi = max_entangled(2)
+    want = []
+    for p in np.linspace(0.0, 1.0, 201):
+        cls = classify(isotropic(p, 2))
+        cond = double_teleport(phi, float(p), 2, (0, 0)).conditional_state
+        want.append({"p": float(p), "m_value": cls.m_value,
+                     "chsh_max": cls.chsh_max,
+                     "hashing_margin": max(cls.s_a, cls.s_b) - cls.s_ab,
+                     "activated_chsh": 2 * math.sqrt(horodecki_m(cond))})
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the iso-curve runner called a scalar oracle")
+
+    monkeypatch.setattr(criteria, "classify", disabled)
+    monkeypatch.setattr(criteria, "horodecki_m", disabled)
+    got = run_iso_curve(ExperimentConfig(experiment="iso_curve"))["records"]
+    assert got == want

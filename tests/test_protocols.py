@@ -228,6 +228,14 @@ def test_erased_protocol_rejects_bad_b_outcomes():
             erased_protocol(3.0, 0, b_out)
 
 
+def test_erased_protocol_takes_only_integer_b_outcomes():
+    for b_out in ((1.0, 0), (0, 0.0), (True, 0.5)):
+        with pytest.raises(ValueError, match="b_outcomes"):
+            erased_protocol(2.0, 0, b_out)
+    labels = erased_protocol(2.0, 0, (np.int64(1), 0)).outcome_labels
+    assert labels == (1, 0) and all(type(b) is int for b in labels)
+
+
 def test_erased_protocol_rejects_bad_bell_outcome():
     for outcome in (-1, 4, 1.5):
         with pytest.raises(ValueError, match="bell_outcome"):

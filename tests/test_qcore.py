@@ -101,6 +101,14 @@ def test_partial_trace_empty_keep_rejected():
         partial_trace(mixed(2), set())
 
 
+def test_partial_trace_rejects_non_integer_indices():
+    rho = mixed(3, dims=(2, 3))
+    for keep in ({0.7}, {1.9}, {1.0}, {"0"}):
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(rho, keep)
+    assert partial_trace(rho, {np.int64(1)}).dims == (3,)
+
+
 @given(st.integers(0, 500))
 @settings(max_examples=25, deadline=None)
 def test_partial_trace_inverts_tensor(seed):

@@ -163,7 +163,7 @@ def test_stream_equals_philox_keyed_directly(seed, stream):
 
 
 def test_philox_key_serves_only_a_philox_key_request():
-    key = states._PhiloxKey(np.array([1, 2], dtype=np.uint64))
+    key = states._philox_key_type()(np.array([1, 2], dtype=np.uint64))
     with pytest.raises(ValueError):
         key.generate_state(4, np.uint64)   # what PCG64 asks for
     with pytest.raises(ValueError):
