@@ -18,6 +18,7 @@ trap 'rm -rf "$work"' EXIT
 experiments=(
     "census census --n-states 5000 --out census.csv"
     "census_t2 census --n-states 5000 --threads 2 --out census_t2.csv"
+    "census_json census --n-states 2000 --format json --out census.json"
     "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"

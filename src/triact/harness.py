@@ -123,14 +123,45 @@ def _csv_cells(col: np.ndarray) -> list:
     return list(map(_fmt, values))
 
 
+# json's text for the floats that have no JSON literal.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(col: np.ndarray) -> list:
+    """json's text of every value of ``col``, with one format per dtype
+    picked once for the column; object columns go value by value."""
+    values = col.tolist()
+    kind = col.dtype.kind
+    if kind == "b":
+        return ["true" if x else "false" for x in values]
+    if kind in "iu":
+        return list(map(str, values))
+    if kind == "f":
+        cells = list(map(repr, values))
+        for i in np.flatnonzero(~np.isfinite(col)):
+            cells[i] = _JSON_NONFINITE[cells[i]]
+        return cells
+    return list(map(json.dumps, values))
+
+
+def _json_text(cols: dict, summary: dict) -> str:
+    """``json.dumps({"records": [...], "summary": summary}, indent=1)``
+    plus a newline, with the records filled into one template per row."""
+    keys = (json.dumps(name).replace("%", "%%") for name in cols)
+    template = "  {\n" + ",\n".join(f"   {key}: %s" for key in keys) + "\n  }"
+    rows = zip(*map(_json_cells, cols.values()))
+    records = ",\n".join(template % row for row in rows)
+    head = f"[\n{records}\n ]" if records else "[]"
+    # json.dumps writes the summary, less the opening brace and newline.
+    tail = json.dumps({"summary": summary}, indent=1)[2:]
+    return f'{{\n "records": {head},\n{tail}\n'
+
+
 def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
     """Write one record per row of ``cols`` (field name -> 1-D array, all
     of one length, in column order) and the summary, as CSV or JSON."""
     if cfg.output_format == "json":
-        rows = zip(*(c.tolist() for c in cols.values()))
-        payload = {"records": [dict(zip(cols, row)) for row in rows],
-                   "summary": summary}
-        text = json.dumps(payload, indent=1) + "\n"
+        text = _json_text(cols, summary)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -14,6 +14,7 @@ single-copy locality against k measurements on B.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -21,8 +22,9 @@ import numpy as np
 
 from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (DensityMatrix, DimensionError, PureState, partial_trace,
-                    project_and_condition, require_hermitian, tensor)
+from .qcore import (DensityMatrix, DimensionError, PureState, _kron,
+                    partial_trace, project_and_condition, require_hermitian,
+                    tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -48,14 +50,29 @@ def _as_int(value, name: str, error=ValueError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
 
 
+@functools.lru_cache(maxsize=8)
+def _bell_vectors(d: int) -> np.ndarray:
+    """The d^2 Bell vectors as conjugated d x d amplitude arrays, the bras
+    ``double_teleport`` contracts, built once per d and read-only.
+
+    [0, k] is conj(psi W_k^T), the Weyl on the second subsystem, and
+    [1, k] is conj(W_k psi), the Weyl on the first; psi is |Psi_+^d> as
+    a d x d array.
+    """
+    ws = weyl_operators(d)
+    psi = _psi_plus(d).reshape(d, d)
+    bras = np.stack([[(psi @ w.T).conj() for w in ws],
+                     [(w @ psi).conj() for w in ws]])
+    bras.flags.writeable = False
+    return bras
+
+
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
     index = _as_int(index, "Bell index")
     if not 0 <= index < d * d:
         raise ValueError(f"Bell index {index} out of range for d={d}")
-    w = weyl_operators(d)[index]
-    psi = _psi_plus(d).reshape(d, d)
-    return PureState((d, d), (psi @ w.T).reshape(-1))
+    return PureState((d, d), _bell_vectors(d)[0, index].conj().reshape(-1))
 
 
 def _swap(ab, proj, cb, da: int, db1: int, db2: int, dc: int) -> np.ndarray:
@@ -91,16 +108,15 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     if not all(0 <= out < d * d for out in (out1, out2)):
         raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
     iso = _isotropic_matrix(p, d)
-    ws = weyl_operators(d)
-    psi = _psi_plus(d).reshape(d, d)
-    # Bell basis carries the Weyl on the prepared-state slot of each pair:
-    # F1 is the second subsystem of (B1, F1), F2 the first of (F2, B2).
-    v1 = psi @ ws[out1].T
-    v2 = ws[out2] @ psi
-    # w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's projection
-    # leaves B1 B2 in w, which the isotropic pairs carry to A and C; iso is
-    # symmetric under a party swap, so it serves as (A, B1) and (C, B2).
-    w = (v1.conj() @ phi.amplitudes.reshape(d, d) @ v2.conj()).reshape(-1)
+    # The Bell basis carries the Weyl on the prepared-state slot of each
+    # pair: F1 is the second subsystem of (B1, F1), F2 the first of
+    # (F2, B2).  w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's
+    # projection leaves B1 B2 in w, which the isotropic pairs carry to A
+    # and C; iso is symmetric under a party swap, so it serves as (A, B1)
+    # and (C, B2).
+    bras = _bell_vectors(d)
+    w = (bras[0, out1] @ phi.amplitudes.reshape(d, d)
+         @ bras[1, out2]).reshape(-1)
     ac = _swap(iso, np.outer(w.conj(), w), iso, d, d, d, d)
     prob = float(np.trace(ac).real)
     if prob < 1e-12:
@@ -108,7 +124,8 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     if apply_correction:
         # Post-measurement, Alice holds W1^dag phi_1 and Charlie W2^dag
         # phi_2 on the entangled component; undo with W1 (x) W2.
-        u = np.kron(ws[out1], ws[out2])
+        ws = weyl_operators(d)
+        u = _kron(ws[out1], ws[out2])
         ac = u @ ac @ u.conj().T
     return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (d, d)),
                            (out1, out2))
@@ -121,8 +138,8 @@ def _eq2_terms(phi: PureState, p: float, d: int):
     sigma_a = a @ a.conj().T
     sigma_c = a.T @ a.conj()
     eye = np.eye(d) / d
-    local = (p * (1 - p) * (np.kron(sigma_a, eye) + np.kron(eye, sigma_c))
-             + (1 - p)**2 * np.kron(eye, eye))
+    local = (p * (1 - p) * (_kron(sigma_a, eye) + _kron(eye, sigma_c))
+             + (1 - p)**2 * _kron(eye, eye))
     return np.outer(a, a.conj()), local
 
 
@@ -160,7 +177,7 @@ def _joint_table(rho_mat: np.ndarray, alice, charlie) -> np.ndarray:
     table = np.empty((len(alice), len(charlie)))
     for i, a in enumerate(alice):
         for j, c in enumerate(charlie):
-            table[i, j] = np.trace(np.kron(a, c) @ rho_mat).real
+            table[i, j] = np.trace(_kron(a, c) @ rho_mat).real
     return table
 
 
@@ -225,11 +242,11 @@ def erased_protocol(k: float, bell_outcome: int = 0,
         # The Bell projector on the qubit levels of (B1, B2) lies inside
         # M_B^0 (x) M_B^0, so it covers both measurement steps at once.
         v = np.zeros((3, 3), dtype=complex)
-        v[:2, :2] = bell_state(2, bell_outcome).amplitudes.reshape(2, 2)
+        v[:2, :2] = _bell_vectors(2)[0, bell_outcome].conj()
         proj = np.outer(v, v.conj())
         labels = b_outcomes + (bell_outcome,)
     else:
-        proj = np.kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
+        proj = _kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
         labels = b_outcomes
     # erased(k) is ordered (A, B1); the same matrix serves as (C, B2).
     rho = erased(k).matrix
@@ -252,15 +269,17 @@ def build_symmetric_extension(k: int) -> DensityMatrix:
         raise DimensionError(f"k={k} outside supported range [2, {MAX_EXTENSION_K}]")
     dims = (2,) + (3,) * k
     total = 2 * 3**k
+    # Each term's two nonzero amplitudes (|0>, |1> on A and B_i, |2> on
+    # the other B's) span a 2x2 block of its own, so the blocks are
+    # assigned, not summed; each holds the terms' values bit for bit.
+    amps = np.full(2, 1 / np.sqrt(2), dtype=complex)
+    block = np.outer(amps, amps.conj()) / k
     mat = np.zeros((total, total), dtype=complex)
     for i in range(k):
-        psi = np.zeros(total, dtype=complex)
-        for q in (0, 1):
-            # |q> on A and B_i, |2> on the other B's
-            levels = [2] * k
-            levels[i] = q
-            psi[np.ravel_multi_index((q, *levels), dims)] = 1 / np.sqrt(2)
-        mat += np.outer(psi, psi.conj()) / k
+        levels = np.full((k, 2), 2)
+        levels[i] = (0, 1)
+        idx = np.ravel_multi_index(((0, 1), *levels), dims)
+        mat[np.ix_(idx, idx)] = block
     return DensityMatrix(dims, mat)
 
 

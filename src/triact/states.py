@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureState
+from .qcore import DensityMatrix, PureState, _kron
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,17 @@ def max_entangled(d: int) -> PureState:
     return PureState((d, d), _psi_plus(d))
 
 
+@functools.lru_cache(maxsize=8)
+def _isotropic_parts(d: int) -> tuple:
+    """|Psi_+^d><Psi_+^d| and the d^2 x d^2 identity, built once per d and
+    shared, hence read-only."""
+    psi = _psi_plus(d)
+    parts = np.outer(psi, psi.conj()), np.eye(d * d)
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def isotropic(p: float, d: int = 2) -> DensityMatrix:
     """Maximally entangled state mixed with white noise.
 
@@ -102,9 +113,9 @@ def _isotropic_matrix(p: float, d: int) -> np.ndarray:
     validated container."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    psi = _psi_plus(d)
-    mat = p * np.outer(psi, psi.conj())
-    mat += (1 - p) * np.eye(d * d) / d**2
+    proj, eye = _isotropic_parts(d)
+    mat = p * proj
+    mat += (1 - p) * eye / d**2
     return mat
 
 
@@ -116,7 +127,7 @@ def erased(k: float) -> DensityMatrix:
     """
     if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mat = (1 - 1 / k) * np.kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
+    mat = (1 - 1 / k) * _kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
     # |Psi_+><Psi_+| / k: |00> and |11> are indices 0 and 4 of the 2x3 layout.
     mat[np.ix_((0, 4), (0, 4))] += 0.5 / k
     return DensityMatrix((2, 3), mat)

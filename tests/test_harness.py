@@ -124,6 +124,33 @@ def test_csv_cells_match_per_value_fmt(tmp_path):
     assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+def test_json_table_matches_json_dumps(tmp_path):
+    """Column-wise JSON writing gives the bytes of ``json.dumps`` of the
+    whole payload with ``indent=1``, for every column kind and for zero
+    records."""
+    cols = {
+        "flag": np.array([True, False, True, True, False, False, True]),
+        "index": np.arange(7, dtype=np.int64),
+        "x": np.array([math.nan, math.inf, -0.0, 1e-300, 0.1 + 0.2,
+                       -math.inf, 2 / 3]),
+        "t_start": np.array([None, 0.25, 'say "\u00e9t\u00e9"', None, -0.0,
+                             math.nan, None], dtype=object),
+    }
+    summary = {"n_states": 7, "channel": "D", "share": 2 / 3, "none": None,
+               "nan": math.nan, "checks": [{"passed": True}]}
+    for n in (7, 1, 0):
+        part = {name: col[:n] for name, col in cols.items()}
+        path = tmp_path / f"t{n}.json"
+        harness._write_table(ExperimentConfig(output_path=str(path),
+                                              output_format="json"),
+                             part, summary)
+        rows = zip(*(c.tolist() for c in part.values()))
+        payload = {"records": [dict(zip(part, row)) for row in rows],
+                   "summary": summary}
+        want = json.dumps(payload, indent=1) + "\n"
+        assert path.read_bytes() == want.encode("ascii"), n
+
+
 def test_interval_record_extraction():
     ts = np.linspace(0, 1, 11)
     flags = np.zeros((3, 11), dtype=bool)

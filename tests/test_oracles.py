@@ -4,18 +4,21 @@ the Peres condition, and the decoherence sweeps against properties every
 local channel must have.  The partial transpose is computed here, not
 through `criteria`, and the sweeps evolve each state with
 `local_decohere`, not with the harness's Kraus stack.  The batch
-iso-curve is checked against the scalar `classify` and `horodecki_m`."""
+iso-curve is checked against the scalar `classify` and `horodecki_m`,
+and the literal measurement in `double_teleport` and the closed form
+`eq2_mixture` are each shown to run without the other's code."""
 
 import math
 
 import numpy as np
 import pytest
 
-from triact import criteria
+from triact import criteria, protocols
 from triact.channels import local_decohere, make_ad, make_d, make_pd
 from triact.criteria import classify, classify_batch, horodecki_m
 from triact.harness import ExperimentConfig, run_iso_curve
-from triact.protocols import double_teleport
+from triact.protocols import double_teleport, eq2_mixture
+from triact.qcore import PureState
 from triact.states import (RngSeed, _isotropic_matrix, isotropic,
                            max_entangled, random_mixed_hs, random_pure_fs)
 
@@ -138,3 +141,36 @@ def test_iso_curve_equals_the_scalar_path(monkeypatch):
     monkeypatch.setattr(criteria, "horodecki_m", disabled)
     got = run_iso_curve(ExperimentConfig(experiment="iso_curve"))["records"]
     assert got == want
+
+
+def test_teleport_kernel_and_eq2_closed_form_share_no_code(monkeypatch):
+    """`eq2_mixture` runs with the teleport kernel's contraction and Bell
+    vectors disabled, and `double_teleport` with the closed form
+    disabled; each gives the same bits as with nothing disabled."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for d in (2, 3):
+        v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        phi = PureState((d, d), v / np.linalg.norm(v))
+        p = float(rng.uniform())
+        cases.append((phi, p, d,
+                      eq2_mixture(phi, p, d).matrix.tobytes(),
+                      double_teleport(phi, p, d, (0, 0))
+                      .conditional_state.matrix.tobytes()))
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("an oracle reached into the code it checks")
+
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "_swap", disabled)
+        m.setattr(protocols, "_bell_vectors", disabled)
+        for phi, p, d, eq2, _ in cases:
+            assert eq2_mixture(phi, p, d).matrix.tobytes() == eq2
+        with pytest.raises(AssertionError):
+            double_teleport(phi, p, d, (0, 0))
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "eq2_mixture", disabled)
+        m.setattr(protocols, "_eq2_terms", disabled)
+        for phi, p, d, _, teleported in cases:
+            out = double_teleport(phi, p, d, (0, 0)).conditional_state
+            assert out.matrix.tobytes() == teleported

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, ProtocolOutcome,
                               bell_state, build_symmetric_extension,
                               double_teleport, eq2_mixture, erased_protocol,
                               teleport_distribution,
-                              verify_locality_observation, _erased_pair_state)
+                              verify_locality_observation, _bell_vectors,
+                              _erased_pair_state)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
                           fidelity_pure, partial_trace, project_and_condition,
                           tensor)
@@ -26,6 +28,30 @@ def test_bell_state_basis_is_orthonormal():
         vs = [bell_state(d, i).amplitudes for i in range(d * d)]
         gram = np.array([[np.vdot(a, b) for b in vs] for a in vs])
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-12)
+
+
+def test_bell_vectors_cached_read_only():
+    for d in (2, 3):
+        bras = _bell_vectors(d)
+        assert bras is _bell_vectors(d)
+        assert bras.shape == (2, d * d, d, d)
+        with pytest.raises(ValueError):
+            bras[0, 0, 0, 0] = 1.0
+
+
+def test_bell_state_equals_literal_formula():
+    # (I (x) W_k)|Psi_+> as the d x d amplitude array psi W_k^T, from a
+    # test-local |Psi_+>, and the bras double_teleport contracts.
+    for d in (2, 3):
+        psi = np.zeros((d, d), dtype=complex)
+        psi[range(d), range(d)] = 1 / np.sqrt(d)
+        for k, w in enumerate(weyl_operators(d)):
+            want = psi @ w.T
+            got = bell_state(d, k).amplitudes
+            assert got.tobytes() == want.reshape(-1).tobytes()
+            assert _bell_vectors(d)[0, k].tobytes() == want.conj().tobytes()
+            assert (_bell_vectors(d)[1, k].tobytes()
+                    == (w @ psi).conj().tobytes())
 
 
 def literal_double_teleport(phi, p, d, o1, o2):
@@ -317,6 +343,23 @@ def test_symmetric_extension_marginals():
         for i in range(1, k + 1):
             marg = partial_trace(ext, {0, i}).matrix
             assert np.max(np.abs(marg - target)) <= 1e-12
+
+
+def test_symmetric_extension_equals_literal_sum():
+    # (1/k) sum_i |psi_i><psi_i|, psi_i = (|0>|0>_i + |1>|1>_i)/sqrt(2)
+    # with |2> on the other B's, each term an outer product of full vectors.
+    basis = np.eye(3)
+    for k in (2, 3, 4):
+        total = 2 * 3**k
+        want = np.zeros((total, total), dtype=complex)
+        for i in range(k):
+            psi = np.zeros(total, dtype=complex)
+            for q in (0, 1):
+                legs = [basis[q] if j == i else basis[2] for j in range(k)]
+                psi += reduce(np.kron, [basis[q][:2]] + legs) / np.sqrt(2)
+            want += np.outer(psi, psi.conj()) / k
+        got = build_symmetric_extension(k).matrix
+        assert got.tobytes() == want.tobytes(), k
 
 
 def test_symmetric_extension_permutation_invariant():

@@ -1,10 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          ValidationError, fidelity_pure, partial_trace,
+                          ValidationError, _kron, fidelity_pure, partial_trace,
                           project_and_condition, tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
@@ -69,6 +71,35 @@ def test_tensor_isotropic_pair_against_elementwise_oracle():
     np.testing.assert_allclose(out.matrix, ref, atol=1e-14)
     assert abs(np.trace(out.matrix) - 1) < 1e-12
     assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-12
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(5)
+
+    def operand(shape, complex_):
+        a = rng.standard_normal(shape)
+        if complex_:
+            a = a + 1j * rng.standard_normal(shape)
+        a.flat[0] = -0.0  # signed zeros must come out as np.kron has them
+        return a
+
+    shapes = [((2, 2), (3, 3)), ((3, 3), (3, 3)), ((2, 3), (3, 2)),
+              ((3, 2), (2, 3)), ((1, 1), (4, 4)), ((4, 4), (1, 1)),
+              ((1, 1), (1, 1))]
+    for sa, sb in shapes:
+        for ca in (False, True):
+            for cb in (False, True):
+                a, b = operand(sa, ca), operand(sb, cb)
+                got, want = _kron(a, b), np.kron(a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (sa, sb, ca, cb)
+
+
+def test_tensor_is_np_kron_bit_for_bit():
+    factors = [mixed(1, (2,)), mixed(2, (3,)), isotropic(0.3, 2)]
+    for n in (2, 3):
+        want = reduce(np.kron, (f.matrix for f in factors[:n]))
+        assert tensor(*factors[:n]).matrix.tobytes() == want.tobytes()
 
 
 def test_tensor_dimension_cap():

@@ -55,6 +55,29 @@ def test_isotropic_literal_matrix():
     np.testing.assert_allclose(isotropic(p, 2).matrix, lit, atol=1e-14)
 
 
+def test_isotropic_parts_cached_read_only():
+    for d in (2, 3):
+        parts = states._isotropic_parts(d)
+        assert parts is states._isotropic_parts(d)
+        for part in parts:
+            with pytest.raises(ValueError):
+                part[0, 0] = 0.5
+
+
+def test_isotropic_matrix_equals_literal_formula():
+    # p |Psi_+><Psi_+| + (1 - p) I / d^2 from a test-local |Psi_+>, in
+    # the same operation order; the result is a fresh array.
+    for d in (2, 3):
+        psi = np.zeros(d * d, dtype=complex)
+        psi[:: d + 1] = 1 / np.sqrt(d)
+        for p in (0.0, 0.3, 2 ** -0.25, 0.1 + 0.2, 1.0):
+            want = p * np.outer(psi, psi.conj())
+            want += (1 - p) * np.eye(d * d) / d**2
+            got = states._isotropic_matrix(p, d)
+            assert got.tobytes() == want.tobytes(), (d, p)
+            assert got.flags.writeable
+
+
 def test_isotropic_spectrum():
     w = np.linalg.eigvalsh(isotropic(0.5, 2).matrix)[::-1]
     np.testing.assert_allclose(w, [0.625, 0.125, 0.125, 0.125], atol=1e-14)
