@@ -9,28 +9,25 @@ can seed those flags; explicit flags win.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from .harness import ExperimentConfig, HarnessIOError, run
+from .harness import CHANNELS, ExperimentConfig, HarnessIOError, run
 
-CHANNEL_FLAGS = {"ad": "AD", "pd": "PD", "pd-verbatim": "PD_verbatim",
-                 "d": "D"}
+CHANNEL_FLAGS = {name.lower().replace("_", "-"): name for name in CHANNELS}
 
-# Flag / config key -> (ExperimentConfig field, parser of the text form,
-# argparse options of the flag).
+# Flag / config key -> (ExperimentConfig field, argparse options).
 _FIELD_SPEC = {
-    "n_states": ("n_states", int, {"type": int}),
-    "steps": ("n_time_steps", int,
-              {"type": int, "help": "time steps for sweeps"}),
-    "channel": ("channel", lambda s: CHANNEL_FLAGS.get(s, s),
-                {"choices": sorted(CHANNEL_FLAGS)}),
-    "seed": ("seed", int, {"type": int}),
-    "out": ("output_path", str, {}),
-    "format": ("output_format", str, {"choices": ("csv", "json")}),
-    "threads": ("threads", int, {"type": int}),
-    "k": ("k", float, {"type": float}),
-    "p": ("p", float, {"type": float}),
+    "n_states": ("n_states", {"type": int}),
+    "steps": ("n_time_steps", {"type": int, "help": "time steps for sweeps"}),
+    "channel": ("channel", {"choices": sorted(CHANNEL_FLAGS)}),
+    "seed": ("seed", {"type": int}),
+    "out": ("output_path", {}),
+    "format": ("output_format", {"choices": ("csv", "json")}),
+    "threads": ("threads", {"type": int}),
+    "k": ("k", {"type": float}),
+    "p": ("p", {"type": float}),
 }
 
 # Subcommand -> (experiment, the keys it reads, ExperimentConfig defaults
@@ -47,20 +44,28 @@ SUBCOMMANDS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
+def _with_config(args: argparse.Namespace, argv: list) -> list:
+    """argv with the lines of ``args.config`` as ``--key=value`` flags put
+    first, so that explicit flags win.  Known keys this subcommand does
+    not read are dropped, so that one file serves several subcommands."""
+    tokens = []
+    with open(args.config) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected key = value")
+                raise ValueError(f"{fh.name}:{line_no}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            key = key.strip().replace("-", "_")
+            if key not in _FIELD_SPEC:
+                raise ValueError(f"unknown config key {key!r}")
+            if key in SUBCOMMANDS[args.command][1]:
+                tokens.append(f"--{key.replace('_', '-')}={val.strip()}")
+    return [args.command, *tokens, *argv[1:]]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triact",
@@ -68,38 +73,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None,
+        p.add_argument("--config",
                        help="flat key = value file; flags override it")
         for key in keys:
-            p.add_argument("--" + key.replace("_", "-"), default=None,
-                           **_FIELD_SPEC[key][2])
+            p.add_argument("--" + key.replace("_", "-"), **_FIELD_SPEC[key][1])
     return parser
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config from the file and flags.  A file may name any known key, so
-    that one file serves several subcommands; keys this subcommand does
-    not read are ignored."""
+    """Config from parsed flags, over the subcommand's defaults."""
     experiment, keys, defaults = SUBCOMMANDS[args.command]
     values = dict(defaults)
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _FIELD_SPEC:
-                raise ValueError(f"unknown config key {key!r}")
-            if key in keys:
-                field, parse, _ = _FIELD_SPEC[key]
-                values[field] = parse(raw)
     for key in keys:
-        flag = getattr(args, key)
-        if flag is not None:
-            field, parse, _ = _FIELD_SPEC[key]
-            values[field] = parse(flag)
+        value = getattr(args, key)
+        if value is not None:
+            values[_FIELD_SPEC[key][0]] = value
+    if "channel" in values:
+        values["channel"] = CHANNEL_FLAGS[values["channel"]]
     return ExperimentConfig(experiment=experiment, **values)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
+        if args.config:
+            args = build_parser().parse_args(_with_config(args, argv))
         cfg = make_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -111,10 +110,7 @@ def main(argv=None) -> int:
         return 3
     printable = {k: v for k, v in result.items() if k != "records"}
     print(json.dumps(printable, indent=1, default=float))
-    if cfg.experiment in ("protocol_verify", "extension_verify"):
-        if not result["all_passed"]:
-            return 1
-    return 0
+    return 0 if result.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from .qcore import DensityMatrix, partial_trace, von_neumann_entropy
 
 # Boundary cases (M = 1, entropy ties) classify negative.
 TIE_TOLERANCE = 1e-9
+# maximize_chsh: random starts, rounds per start, tolerance and seed.
+CHSH_RESTARTS, CHSH_ROUNDS, CHSH_TOL, CHSH_SEED = 10, 100, 1e-12, 7
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -170,8 +172,7 @@ def chsh_value(rho: DensityMatrix, a, a2, b, b2) -> float:
     return float(a @ t @ b + a @ t @ b2 + a2 @ t @ b - a2 @ t @ b2)
 
 
-def maximize_chsh(rho: DensityMatrix, restarts: int = 10, rounds: int = 100,
-                  tol: float = 1e-12, seed: int = 7):
+def maximize_chsh(rho: DensityMatrix):
     """Numerically maximized CHSH value with the optimal settings.
 
     Alternating closed-form updates: given (b, b'), the best a and a'
@@ -179,24 +180,24 @@ def maximize_chsh(rho: DensityMatrix, restarts: int = 10, rounds: int = 100,
     (a, a').  Serves as an independent oracle for 2 sqrt(M).
     """
     t = correlation_matrix(rho)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CHSH_SEED)
 
     def unit(v):
         nv = np.linalg.norm(v)
         return v / nv if nv > 1e-15 else np.array([1.0, 0.0, 0.0])
 
     best_val, best_settings = -np.inf, None
-    for _ in range(restarts):
+    for _ in range(CHSH_RESTARTS):
         b = unit(rng.standard_normal(3))
         b2 = unit(rng.standard_normal(3))
         val = -np.inf
-        for _ in range(rounds):
+        for _ in range(CHSH_ROUNDS):
             a = unit(t @ (b + b2))
             a2 = unit(t @ (b - b2))
             b = unit(t.T @ (a + a2))
             b2 = unit(t.T @ (a - a2))
             new = a @ t @ (b + b2) + a2 @ t @ (b - b2)
-            if new - val < tol:
+            if new - val < CHSH_TOL:
                 val = new
                 break
             val = new

@@ -31,6 +31,8 @@ CHANNELS = {
     "D": channels.make_d,
 }
 
+CHUNK_SIZE = 4096  # states per census or sweep chunk, one worker task
+
 CENSUS_FIELDS = ("state_index", "m_value", "chsh_max", "s_a", "s_b", "s_ab",
                  "violates_chsh", "hashing_distillable", "nonlocal_resource")
 
@@ -173,9 +175,9 @@ def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
     _write_atomic(cfg.output_path, text)
 
 
-def _chunks(n: int, size: int = 4096):
-    for lo in range(0, n, size):
-        yield range(lo, min(lo + size, n))
+def _chunks(n: int):
+    for lo in range(0, n, CHUNK_SIZE):
+        yield range(lo, min(lo + CHUNK_SIZE, n))
 
 
 def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):

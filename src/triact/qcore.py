@@ -43,12 +43,12 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = _as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: {a.shape}")
     dev = abs(a - a.conj().T).max()
-    if not dev <= tol:
+    if not dev <= HERMITICITY_TOL:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return a
 

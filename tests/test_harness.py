@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from triact import channels, criteria, harness
-from triact.cli import main as cli_main
+from triact.cli import build_parser, main as cli_main
 from triact.harness import (ExperimentConfig, HarnessIOError, run_census,
                             run_decoherence_sweep, run_extension_verify,
                             run_iso_curve, run_protocol_verify,
@@ -256,17 +256,21 @@ def test_iso_curve_grid(tmp_path):
     assert abs(out["activated_crossing_p"] - 2 ** -0.25) <= 1 / 200 + 1e-12
 
 
+def _subprocess_env():
+    """The environment with this checkout's triact first on the path."""
+    import triact
+    src = str(Path(triact.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_leaves_numpy_random_and_process_pool_unloaded():
     """numpy.random loads with the first sample stream and the process
     pool with the first run on more than one worker, not on import."""
-    import triact
-    src = str(Path(triact.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys, triact.cli; print([m for m in ('numpy.random', "
             "'concurrent.futures.process') if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                         check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -294,6 +298,66 @@ def test_cli_config_file_and_override(tmp_path, capsys):
     assert cli_main(["census", "--config", str(cfg_file), "--seed", "9",
                      "--out", str(out_b)]) == 0
     assert out_a.read_bytes() != out_b.read_bytes()
+
+
+def test_cli_exit_1_only_from_failed_checks(monkeypatch, capsys):
+    """verify and extension exit 1 when a check fails; census and
+    iso-curve have no checks and exit 0."""
+    monkeypatch.setattr(harness, "_check", lambda name, residual, tol: {
+        "name": name, "residual": float(residual), "tol": tol,
+        "passed": False})
+    assert cli_main(["verify"]) == 1
+    assert cli_main(["extension", "--k", "2"]) == 1
+    assert cli_main(["census", "--n-states", "10"]) == 0
+    assert cli_main(["iso-curve"]) == 0
+
+
+def test_cli_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_config_file_through_console_path(tmp_path):
+    """``python -m triact.cli`` (main with argv=None) reads a config file
+    as the in-process call does."""
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# census settings\n\nn_states = 60\nseed = 3\n")
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert cli_main(["census", "--config", str(cfg_file), "--seed", "9",
+                     "--out", str(out_a)]) == 0
+    subprocess.run([sys.executable, "-m", "triact.cli", "census",
+                    "--config", str(cfg_file), "--seed", "9",
+                    "--out", str(out_b)], env=_subprocess_env(), check=True,
+                   capture_output=True)
+    assert out_b.read_bytes() == out_a.read_bytes()
+    # the flag beat the file: seed 9, not 3
+    out_c = tmp_path / "c.csv"
+    assert cli_main(["census", "--n-states", "60", "--seed", "9",
+                     "--out", str(out_c)]) == 0
+    assert out_c.read_bytes() == out_a.read_bytes()
+
+
+def test_cli_config_values_parsed_as_flags(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    # values a flag rejects, including a channel's harness name
+    for line in ("format = xml", "seed = 1.5", "channel = AD"):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--config", str(cfg_file), "--n-states", "2",
+                      "--steps", "2"])
+        assert exc.value.code == 2
+    for text in ("bogus = 1\n", "seed 5\n"):
+        cfg_file.write_text(text)
+        assert cli_main(["census", "--config", str(cfg_file)]) == 2
+    # census does not read steps or channel, so they are dropped
+    cfg_file.write_text("steps = 1.5\nchannel = AD\nn-states = 10\n")
+    capsys.readouterr()
+    assert cli_main(["census", "--config", str(cfg_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_states"] == 10
+    cfg_file.write_text("channel = pd-verbatim\nsteps = 3\n")
+    assert cli_main(["sweep", "--config", str(cfg_file),
+                     "--n-states", "2"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["channel"], summary["n_time_steps"]) == ("PD_verbatim", 3)
 
 
 def test_cli_bad_arguments_exit_2():
