@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the harness experiments, and each takes
 only the flags its experiment reads.  A flat ``key = value`` config file
 can seed those flags; explicit flags win.  Exit codes: 0 success,
-1 verification failure, 2 bad arguments, 3 I/O error.
+1 verification failure, 2 bad arguments (returned, not raised), 3 I/O
+error or a closed stdout.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .harness import CHANNELS, ExperimentConfig, HarnessIOError, run
@@ -30,17 +32,15 @@ _FIELD_SPEC = {
     "p": ("p", {"type": float}),
 }
 
-# Subcommand -> (experiment, the keys it reads, ExperimentConfig defaults
-# that differ for it).
+# Subcommand -> (experiment, the keys it reads).  Unset flags take the
+# ExperimentConfig defaults.
 SUBCOMMANDS = {
-    "census": ("census", ("n_states", "seed", "out", "format", "threads"),
-               {}),
+    "census": ("census", ("n_states", "seed", "out", "format", "threads")),
     "sweep": ("decoherence_sweep", ("n_states", "steps", "channel", "seed",
-                                    "out", "format", "threads"),
-              {"n_states": 2000}),
-    "verify": ("protocol_verify", ("seed", "k", "p", "out"), {}),
-    "iso-curve": ("iso_curve", ("out", "format"), {}),
-    "extension": ("extension_verify", ("k",), {}),
+                                    "out", "format", "threads")),
+    "verify": ("protocol_verify", ("seed", "k", "p", "out")),
+    "iso-curve": ("iso_curve", ("out", "format")),
+    "extension": ("extension_verify", ("k",)),
 }
 
 
@@ -59,19 +59,26 @@ def _with_config(args: argparse.Namespace, argv: list) -> list:
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
             if key not in _FIELD_SPEC:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"{fh.name}:{line_no}: unknown key {key!r}")
             if key in SUBCOMMANDS[args.command][1]:
                 tokens.append(f"--{key.replace('_', '-')}={val.strip()}")
     return [args.command, *tokens, *argv[1:]]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError for ``main`` to report, instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triact",
         description="Tripartite nonlocality-activation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, keys, _) in SUBCOMMANDS.items():
+    for name, (_, keys) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config",
                        help="flat key = value file; flags override it")
@@ -81,13 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def make_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config from parsed flags, over the subcommand's defaults."""
-    experiment, keys, defaults = SUBCOMMANDS[args.command]
-    values = dict(defaults)
-    for key in keys:
-        value = getattr(args, key)
-        if value is not None:
-            values[_FIELD_SPEC[key][0]] = value
+    """Config from the flags that were set."""
+    experiment, keys = SUBCOMMANDS[args.command]
+    values = {_FIELD_SPEC[key][0]: value for key, value in vars(args).items()
+              if key in keys and value is not None}
     if "channel" in values:
         values["channel"] = CHANNEL_FLAGS[values["channel"]]
     return ExperimentConfig(experiment=experiment, **values)
@@ -95,10 +99,14 @@ def make_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.config:
-            args = build_parser().parse_args(_with_config(args, argv))
+            tokens = _with_config(args, argv)
+            try:
+                args = build_parser().parse_args(tokens)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
         cfg = make_config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -109,7 +117,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     printable = {k: v for k, v in result.items() if k != "records"}
-    print(json.dumps(printable, indent=1, default=float))
+    try:
+        print(json.dumps(printable, indent=1, default=float), flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush
+        # at interpreter exit does not fail on the same pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return 0 if result.get("all_passed", True) else 1
 
 

@@ -44,7 +44,7 @@ class HarnessIOError(OSError):
 @dataclass
 class ExperimentConfig:
     experiment: str = "census"
-    n_states: int = 100_000
+    n_states: int | None = None  # 2000 for sweeps, else 100 000
     n_time_steps: int = 1000
     channel: str = "AD"
     seed: int = 0
@@ -57,6 +57,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if self.n_states is None:
+            self.n_states = (2000 if self.experiment == "decoherence_sweep"
+                             else 100_000)
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         if self.experiment == "decoherence_sweep" and self.n_time_steps < 2:
@@ -335,29 +338,28 @@ def run_protocol_verify(cfg: ExperimentConfig):
                          abs(1 - fidelity_pure(out.conditional_state, phi)),
                          1e-10))
 
-    # Activated CHSH through the protocol follows 2 sqrt(2) p^2.
-    worst = 0.0
-    for p in np.linspace(0, 1, 11):
-        got = protocols.double_teleport(max_entangled(2), p, 2, (0, 0))
-        chsh = 2 * math.sqrt(criteria.horodecki_m(got.conditional_state))
-        worst = max(worst, abs(chsh - 2 * math.sqrt(2) * p * p))
+    # Activated CHSH through the protocol follows 2 sqrt(2) p^2; one batch
+    # also holds the erased protocol's Bell pairs, checked below.
+    ps = np.linspace(0, 1, 11)
+    k = cfg.k
+    outs = [protocols.erased_protocol(k, bell_outcome=b) for b in range(4)]
+    teleported = [protocols.double_teleport(phi, p, 2, (0, 0)) for p in ps]
+    chsh = criteria.classify_batch(np.stack([
+        out.conditional_state.matrix for out in teleported + outs]))["chsh_max"]
+    worst = np.max(np.abs(chsh[:len(ps)] - 2 * math.sqrt(2) * ps * ps))
     checks.append(_check("activated_chsh_vs_2sqrt2_p2", worst, 1e-9))
 
     # Erased protocol: success probabilities and Bell fidelities.
-    k = cfg.k
-    prob_err, fid_err, chsh_err = 0.0, 0.0, 0.0
-    for b in range(4):
-        out = protocols.erased_protocol(k, bell_outcome=b)
-        prob_err = max(prob_err,
-                       abs(out.success_probability - 1 / (4 * k * k)))
-        best = max(fidelity_pure(out.conditional_state,
-                                 protocols.bell_state(2, j)) for j in range(4))
-        fid_err = max(fid_err, abs(1 - best))
-        chsh = 2 * math.sqrt(criteria.horodecki_m(out.conditional_state))
-        chsh_err = max(chsh_err, abs(chsh - 2 * math.sqrt(2)))
+    bells = [protocols.bell_state(2, j) for j in range(4)]
+    prob_err = max(abs(out.success_probability - 1 / (4 * k * k))
+                   for out in outs)
+    fid_err = max(abs(1 - max(fidelity_pure(out.conditional_state, bell)
+                              for bell in bells)) for out in outs)
     checks.append(_check("erased_success_probability", prob_err, 1e-12))
     checks.append(_check("erased_bell_fidelity", fid_err, 1e-10))
-    checks.append(_check("erased_conditional_chsh", chsh_err, 1e-9))
+    checks.append(_check("erased_conditional_chsh",
+                         np.max(np.abs(chsh[len(ps):] - 2 * math.sqrt(2))),
+                         1e-9))
 
     # Eq. (3) decomposition residual for random POVMs.
     povm = _projective_povm(rng, 2)

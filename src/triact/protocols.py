@@ -15,16 +15,15 @@ single-copy locality against k measurements on B.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (DensityMatrix, DimensionError, PureState, _kron,
-                    partial_trace, project_and_condition, require_hermitian,
-                    tensor)
+from .qcore import (DensityMatrix, DimensionError, PureState, _as_int,
+                    _kron, partial_trace, project_and_condition,
+                    require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -41,13 +40,6 @@ class ProtocolOutcome:
     success_probability: float
     conditional_state: DensityMatrix | None
     outcome_labels: tuple
-
-
-def _as_int(value, name: str, error=ValueError) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 @functools.lru_cache(maxsize=8)
@@ -86,16 +78,16 @@ def _swap(ab, proj, cb, da: int, db1: int, db2: int, dc: int) -> np.ndarray:
     return ac.reshape(da * dc, da * dc)
 
 
-def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
-                    apply_correction: bool = False) -> ProtocolOutcome:
+def double_teleport(phi: PureState, p: float, d: int,
+                    bell_outcome) -> ProtocolOutcome:
     """Teleport both halves of |phi> through isotropic states.
 
     The network state is iso(p)_{A B1} (x) |phi><phi|_{F1 F2} (x)
     iso(p)_{B2 C}; Bob Bell-measures the pairs (B1, F1) and (F2, B2) and
     the Alice-Charlie conditional state for the requested outcome pair is
-    returned.  With ``apply_correction`` the standard teleportation
-    corrections are applied so every branch carries |phi> itself; without
-    it, the (0, 0) (i.e. Psi_+, Psi_+) branch does.
+    returned uncorrected.  The (0, 0) (i.e. Psi_+, Psi_+) branch carries
+    |phi> itself; branch (o1, o2) matches it after the local correction
+    U = W_o1 (x) W_o2 (rho -> U rho U^dag), which leaves M unchanged.
 
     The projection is contracted leg by leg, without the d^6 network
     state, and stays independent of the closed form ``eq2_mixture``.
@@ -121,12 +113,6 @@ def double_teleport(phi: PureState, p: float, d: int, bell_outcome,
     prob = float(np.trace(ac).real)
     if prob < 1e-12:
         return ProtocolOutcome(0.0, None, (out1, out2))
-    if apply_correction:
-        # Post-measurement, Alice holds W1^dag phi_1 and Charlie W2^dag
-        # phi_2 on the entangled component; undo with W1 (x) W2.
-        ws = weyl_operators(d)
-        u = _kron(ws[out1], ws[out2])
-        ac = u @ ac @ u.conj().T
     return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (d, d)),
                            (out1, out2))
 
@@ -230,8 +216,6 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     for every outcome.  ``b_outcomes`` selects the first-step results; a
     1 on either side ends the protocol there.
     """
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     bell_outcome = _as_int(bell_outcome, "bell_outcome")
     if not 0 <= bell_outcome < 4:
         raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
@@ -248,7 +232,8 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     else:
         proj = _kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
         labels = b_outcomes
-    # erased(k) is ordered (A, B1); the same matrix serves as (C, B2).
+    # erased(k) checks k and is ordered (A, B1); the same matrix serves
+    # as (C, B2).
     rho = erased(k).matrix
     ac = _swap(rho, proj, rho, 2, 3, 3, 2)
     prob = float(np.trace(ac).real)

@@ -126,12 +126,13 @@ class DensityMatrix:
         return cls(tuple(dims), m / tr)
 
 
-def _subsystem_indices(indices) -> list:
+def _as_int(value, name: str, error=ValueError) -> int:
+    """``value`` as an int if it is one (numpy integers too), else raise
+    ``error``."""
     try:
-        return [operator.index(i) for i in indices]
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"subsystem indices must be integers, "
-                         f"got {indices!r}") from None
+        raise error(f"{name}: integers only, got {value!r}") from None
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,7 +157,7 @@ def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityM
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``; kept order is preserved."""
-    keep = sorted(set(_subsystem_indices(keep)))
+    keep = sorted({_as_int(i, "subsystem indices") for i in keep})
     n = len(rho.dims)
     if not keep:
         raise ValueError("keep set must be nonempty")
@@ -188,7 +189,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
     either square on those legs, or maps a single leg to a new dimension
     (d_out x d_in).  Returns ``(out_matrix, out_dims)``.
     """
-    legs = _subsystem_indices(legs)
+    legs = [_as_int(s, "subsystem indices") for s in legs]
     n, k = len(dims), len(legs)
     if sorted(set(legs)) != legs:
         raise ValueError("subsystems must be distinct and ascending")

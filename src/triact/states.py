@@ -9,12 +9,11 @@ draws no matter which worker runs it.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureState, _kron
+from .qcore import DensityMatrix, PureState, _as_int, _kron
 
 
 @dataclass(frozen=True)
@@ -26,12 +25,7 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("seed", "stream_index"):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}") from None
+            value = _as_int(getattr(self, name), name)
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
             object.__setattr__(self, name, value)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triact import channels, criteria, harness
+from triact import channels, cli, criteria, harness
 from triact.cli import build_parser, main as cli_main
 from triact.harness import (ExperimentConfig, HarnessIOError, run_census,
                             run_decoherence_sweep, run_extension_verify,
@@ -341,10 +341,12 @@ def test_cli_config_values_parsed_as_flags(tmp_path, capsys):
     # values a flag rejects, including a channel's harness name
     for line in ("format = xml", "seed = 1.5", "channel = AD"):
         cfg_file.write_text(line + "\n")
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["sweep", "--config", str(cfg_file), "--n-states", "2",
-                      "--steps", "2"])
-        assert exc.value.code == 2
+        assert cli_main(["sweep", "--config", str(cfg_file), "--n-states",
+                         "2", "--steps", "2"]) == 2
+        # one line, naming the file as well as the flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}: argument --")
+        assert err.count("\n") == 1
     for text in ("bogus = 1\n", "seed 5\n"):
         cfg_file.write_text(text)
         assert cli_main(["census", "--config", str(cfg_file)]) == 2
@@ -360,21 +362,24 @@ def test_cli_config_values_parsed_as_flags(tmp_path, capsys):
     assert (summary["channel"], summary["n_time_steps"]) == ("PD_verbatim", 3)
 
 
-def test_cli_bad_arguments_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["census", "--format", "xml"])
-    assert exc.value.code == 2
+def test_cli_bad_arguments_exit_2(capsys):
+    assert cli_main(["census", "--format", "xml"]) == 2
     cfg_missing = cli_main(["census", "--config", "/nonexistent/file.cfg"])
     assert cfg_missing == 2
-    # flags a subcommand does not read, and --d, which none takes
+    # flags a subcommand does not read, and --d, which none takes; no
+    # subcommand, and one that does not exist
     for argv in (["census", "--steps", "5"], ["sweep", "--k", "2"],
                  ["verify", "--n-states", "5"],
                  ["iso-curve", "--seed", "5", "--d", "7", "--threads", "3",
                   "--n-states", "9"],
-                 ["extension", "--out", "x.json"], ["census", "--d", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            cli_main(argv)
-        assert exc.value.code == 2
+                 ["extension", "--out", "x.json"], ["census", "--d", "3"],
+                 [], ["scan"], ["census", "--n-states"]):
+        assert cli_main(argv) == 2
+    # each bad input above: one error line and nothing on stdout
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 11 and all(ln.startswith("error: ") for ln in lines)
     assert cli_main(["verify", "--p", "2"]) == 2
     # k below 1, and k where the erased success branch (1/(4k^2)) falls
     # under the zero-probability marker, or not finite
@@ -388,6 +393,44 @@ def test_cli_bad_arguments_exit_2():
     # extension checks exactly the k it is given
     for k in ("2.5", "9", "0"):
         assert cli_main(["extension", "--k", k]) == 2
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["census", "--help"], ["sweep", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: triact")
+
+
+def test_config_defaults_match_the_cli():
+    """The CLI sets no defaults of its own: an unset flag takes the
+    ExperimentConfig default, and sweeps default to 2000 states."""
+    assert ExperimentConfig(experiment="decoherence_sweep").n_states == 2000
+    assert ExperimentConfig(experiment="census").n_states == 100_000
+    assert ExperimentConfig().n_states == 100_000
+    assert ExperimentConfig(experiment="decoherence_sweep",
+                            n_states=7).n_states == 7
+    parser = build_parser()
+    for name, (experiment, _) in cli.SUBCOMMANDS.items():
+        assert cli.make_config(parser.parse_args([name])) == \
+            ExperimentConfig(experiment=experiment)
+
+
+def test_cli_closed_stdout_exit_3():
+    """A summary that cannot be written because the reader has gone
+    exits 3, without a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "triact.cli", "sweep",
+                               "--n-states", "3", "--steps", "20"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_subprocess_env(), text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_io_error_exit_3(tmp_path, capsys):

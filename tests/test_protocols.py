@@ -78,11 +78,14 @@ def test_double_teleport_matches_literal_network():
         prob, ac = literal_double_teleport(phi, p, d, o1, o2)
         ws = weyl_operators(d)
         u = np.kron(ws[o1], ws[o2])
-        for corr, want in ((False, ac), (True, u @ ac @ u.conj().T)):
-            out = double_teleport(phi, p, d, (o1, o2), apply_correction=corr)
-            assert out.outcome_labels == (o1, o2)
-            assert abs(out.success_probability - prob) <= 1e-10
-            assert np.max(np.abs(out.conditional_state.matrix - want)) <= 1e-10
+        out = double_teleport(phi, p, d, (o1, o2))
+        assert out.outcome_labels == (o1, o2)
+        assert abs(out.success_probability - prob) <= 1e-10
+        got = out.conditional_state.matrix
+        # the corrected branch: W_o1 (x) W_o2 applied to both sides
+        for have, want in ((got, ac), (u @ got @ u.conj().T,
+                                       u @ ac @ u.conj().T)):
+            assert np.max(np.abs(have - want)) <= 1e-10
 
 
 def test_bell_state_rejects_bad_index():
@@ -129,10 +132,14 @@ def test_double_teleport_matches_eq2_mixture():
 def test_double_teleport_corrected_branches():
     rng = np.random.default_rng(3)
     phi = random_pure(rng, 2)
+    ws = weyl_operators(2)
     for o1 in range(4):
         for o2 in range(4):
-            out = double_teleport(phi, 1.0, 2, (o1, o2), apply_correction=True)
-            assert abs(fidelity_pure(out.conditional_state, phi) - 1) < 1e-9
+            # The teleportation correction W_o1 (x) W_o2, local to A and C.
+            u = np.kron(ws[o1], ws[o2])
+            rho = double_teleport(phi, 1.0, 2, (o1, o2)).conditional_state
+            corrected = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
+            assert abs(fidelity_pure(corrected, phi) - 1) < 1e-9
 
 
 def test_double_teleport_outcomes_average_to_marginal():
