@@ -23,6 +23,7 @@ experiments=(
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"
     "sweep_d sweep --channel d --n-states 50 --steps 300 --format json --out sweep_d.json"
+    "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"
     "verify verify --out verify.json"
     "iso_csv iso-curve --out iso.csv"
     "iso_json iso-curve --format json --out iso.json"

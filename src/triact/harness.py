@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, criteria, protocols
-from .qcore import PureState, fidelity_pure, partial_trace
+from .qcore import PureState, _as_int, fidelity_pure, partial_trace
 from .states import RngSeed, _isotropic_matrix, erased, max_entangled, \
     random_mixed_hs, random_pure_fs
 
@@ -60,6 +60,8 @@ class ExperimentConfig:
         if self.n_states is None:
             self.n_states = (2000 if self.experiment == "decoherence_sweep"
                              else 100_000)
+        for name in ("n_states", "n_time_steps", "seed", "threads"):
+            setattr(self, name, _as_int(getattr(self, name), name))
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         if self.experiment == "decoherence_sweep" and self.n_time_steps < 2:
@@ -114,20 +116,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv_cells(col: np.ndarray) -> list:
-    """``_fmt`` of every value of ``col``, with one format per dtype
-    picked once for the column; object columns go value by value."""
-    values = col.tolist()
-    kind = col.dtype.kind
-    if kind == "b":
-        return ["1" if x else "0" for x in values]
-    if kind in "iu":
-        return list(map(str, values))
-    if kind == "f":
-        return [f"{x:.12g}" for x in values]
-    return list(map(_fmt, values))
-
-
 # json's text for the floats that have no JSON literal.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -162,19 +150,35 @@ def _json_text(cols: dict, summary: dict) -> str:
     return f'{{\n "records": {head},\n{tail}\n'
 
 
+# The %-format of a CSV cell by column dtype kind, giving ``_fmt``'s text.
+_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
+
+
+def _csv_text(cols: dict, summary: dict) -> str:
+    """What ``csv.writer`` writes for the header, one row of ``_fmt``
+    cells per record and one ``# key`` row per summary key, with the
+    records filled into one template per row.  Object columns go through
+    ``_fmt`` value by value; their cells must need no quoting."""
+    template = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s")
+                        for c in cols.values()) + "\r\n"
+    cells = (c.tolist() if c.dtype.kind in _CSV_FORMATS
+             else list(map(_fmt, c.tolist())) for c in cols.values())
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cols)
+    buf.write("".join(template % row for row in zip(*cells)))
+    for key in sorted(summary):
+        writer.writerow([f"# {key}", _fmt(summary[key])])
+    return buf.getvalue()
+
+
 def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
     """Write one record per row of ``cols`` (field name -> 1-D array, all
     of one length, in column order) and the summary, as CSV or JSON."""
     if cfg.output_format == "json":
         text = _json_text(cols, summary)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(cols)
-        writer.writerows(zip(*map(_csv_cells, cols.values())))
-        for key in sorted(summary):
-            writer.writerow([f"# {key}", _fmt(summary[key])])
-        text = buf.getvalue()
+        text = _csv_text(cols, summary)
     _write_atomic(cfg.output_path, text)
 
 
@@ -201,10 +205,9 @@ def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):
 # ---------------------------------------------------------------- census
 
 def _census_chunk(seed: int, indices):
-    mats = np.stack([
-        random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2)).matrix
-        for i in indices
-    ])
+    mats = np.empty((len(indices), 4, 4), dtype=complex)
+    for j, i in enumerate(indices):
+        mats[j] = random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2)).matrix
     return criteria.classify_batch(mats)
 
 

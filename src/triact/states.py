@@ -129,9 +129,11 @@ def erased(k: float) -> DensityMatrix:
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     # both blocks in one draw, real block first: the same draws as two
-    # calls of ``shape`` each
-    real, imag = rng.standard_normal((2, *shape))
-    return real + 1j * imag
+    # calls of ``shape`` each, written into one complex array
+    draws = rng.standard_normal((2, *shape))
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = draws
+    return z
 
 
 def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
@@ -144,8 +146,8 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
         raise ValueError(f"d_total must be >= 2, got {d_total}")
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
     m = g @ g.conj().T
-    return DensityMatrix(dims if dims is not None else (d_total,),
-                         m / m.trace().real)
+    m /= m.trace().real
+    return DensityMatrix(dims if dims is not None else (d_total,), m)
 
 
 def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:

@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -36,6 +37,17 @@ def test_config_validation():
         ExperimentConfig(experiment="decoherence_sweep", n_time_steps=1)
     with pytest.raises(ValueError):
         ExperimentConfig(channel="XY")
+    for field in ("n_states", "n_time_steps", "seed", "threads"):
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=field):
+                ExperimentConfig(experiment="decoherence_sweep",
+                                 **{field: bad})
+    cfg = ExperimentConfig(n_states=np.int64(5), n_time_steps=np.uint8(3),
+                           seed=np.uint64(2**64 - 1), threads=np.int32(2))
+    assert ((cfg.n_states, cfg.n_time_steps, cfg.seed, cfg.threads)
+            == (5, 3, 2**64 - 1, 2))
+    assert all(type(v) is int for v in (cfg.n_states, cfg.n_time_steps,
+                                         cfg.seed, cfg.threads))
 
 
 def test_census_deterministic_csv(tmp_path):
@@ -100,28 +112,45 @@ def test_census_json_output(tmp_path):
 
 
 def test_csv_cells_match_per_value_fmt(tmp_path):
-    """Column-wise CSV formatting writes the bytes of ``_fmt`` applied
-    value by value, for every column kind the harness writes."""
+    """The template-filled CSV text of ``_write_table`` is what
+    ``csv.writer`` writes for rows of ``_fmt`` applied value by value,
+    for every column kind the harness writes and for 7, 1 and 0
+    records."""
     cols = {
         "flag": np.array([True, False, True, True, False, False, True]),
-        "index": np.arange(7),
+        "index": np.arange(7, dtype=np.int64),
         "x": np.array([math.nan, math.inf, -0.0, 1e-300, 123456789012345.0,
                        1234567.890123, -math.inf]),
         "t_start": np.array([None, 0.25, None, 1 / 3, -0.0, 1e-300, None],
                             dtype=object),
     }
     summary = {"n_states": 7, "channel": "D", "share": 2 / 3, "none": None}
-    path = tmp_path / "t.csv"
-    harness._write_table(ExperimentConfig(output_path=str(path)), cols,
-                         summary)
-    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in zip(*(c.tolist() for c in cols.values())):
+    for n in (7, 1, 0):
+        part = {name: col[:n] for name, col in cols.items()}
+        path = tmp_path / f"t{n}.csv"
+        harness._write_table(ExperimentConfig(output_path=str(path)), part,
+                             summary)
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(part)
+        for row in zip(*(c.tolist() for c in part.values())):
             writer.writerow([harness._fmt(x) for x in row])
         for key in sorted(summary):
             writer.writerow([f"# {key}", harness._fmt(summary[key])])
-    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert path.read_bytes() == want.getvalue().encode("ascii"), n
+
+
+def test_census_chunk_classifies_the_stacked_states(monkeypatch):
+    """``_census_chunk`` hands ``classify_batch`` the bytes of
+    ``np.stack`` of the chunk's sampled matrices."""
+    monkeypatch.setattr(criteria, "classify_batch", lambda mats: mats)
+    indices = [0, 1, 2, 4095, 4096, 9999]
+    got = harness._census_chunk(12, indices)
+    want = np.stack([harness.random_mixed_hs(4, RngSeed(12, i),
+                                             dims=(2, 2)).matrix
+                     for i in indices])
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_json_table_matches_json_dumps(tmp_path):

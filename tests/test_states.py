@@ -202,3 +202,24 @@ def test_rng_seed_takes_integers_in_uint64_range():
     for s, i in bad:
         with pytest.raises(ValueError):
             RngSeed(s, i)
+
+
+def _literal_gaussian(rng, shape):
+    # the literal Ginibre block: the real block plus 1j times the other
+    real, imag = rng.standard_normal((2, *shape))
+    return real + 1j * imag
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_samplers_equal_the_literal_formulas_bit_for_bit(seed):
+    for i in range(2000):
+        stream = RngSeed(seed, i)
+        g = _literal_gaussian(stream.generator(), (4, 4))
+        got = states._complex_gaussian(stream.generator(), (4, 4))
+        assert got.tobytes() == g.tobytes()
+        m = g @ g.conj().T
+        m = m / m.trace().real
+        assert random_mixed_hs(4, stream).matrix.tobytes() == m.tobytes()
+        v = _literal_gaussian(stream.generator(), (4,))
+        v = v / np.linalg.norm(v)
+        assert random_pure_fs(4, stream).amplitudes.tobytes() == v.tobytes()
