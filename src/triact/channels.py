@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import DensityMatrix, PureState, ValidationError, apply_to_legs
+from .qcore import (DensityMatrix, PureState, ValidationError, _checked,
+                    apply_to_legs)
 
 COMPLETENESS_TOL = 1e-10
 
@@ -54,14 +55,9 @@ class KrausChannel:
 _PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *PAULI])
 
 
-def _check_t(t: float):
-    if not 0 <= t <= 1:
-        raise ValueError(f"strength t must lie in [0, 1], got {t}")
-
-
 def make_ad(t: float) -> KrausChannel:
     """Amplitude damping: decay |1> -> |0> with probability t."""
-    _check_t(t)
+    t = _checked(t, "t", 0, 1)
     return KrausChannel(np.array([[[1, 0], [0, math.sqrt(1 - t)]],
                                   [[0, math.sqrt(t)], [0, 0]]], dtype=complex))
 
@@ -73,7 +69,7 @@ def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
     off-diagonal elements shrink by (1 - t).  Verbatim mode uses the
     alternative operators sqrt(t) I, sqrt(1 - t) sigma_z instead.
     """
-    _check_t(t)
+    t = _checked(t, "t", 0, 1)
     a, b = (t, 1 - t) if verbatim else (1 - t / 2, t / 2)
     # _PAULI_BASIS[::3] holds I and sigma_z
     return KrausChannel(np.array([math.sqrt(a), math.sqrt(b)])[:, None, None]
@@ -82,7 +78,7 @@ def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
 
 def make_d(t: float) -> KrausChannel:
     """Qubit depolarization: rho' = (1 - t) rho + t I/2."""
-    _check_t(t)
+    t = _checked(t, "t", 0, 1)
     w = math.sqrt(t / 4)
     return KrausChannel(
         np.array([math.sqrt(1 - 3 * t / 4), w, w, w])[:, None, None]
@@ -92,8 +88,7 @@ def make_d(t: float) -> KrausChannel:
 def make_erasure(k: float) -> KrausChannel:
     """Qubit-to-qutrit erasure: survive on levels {0,1} with probability
     1/k, else land in the flag level |2>."""
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _checked(k, "k", 1)
     # keep, then lose |0>, then lose |1>
     ops = np.zeros((3, 3, 2), dtype=complex)
     ops[0, 0, 0] = ops[0, 1, 1] = np.sqrt(1 / k)

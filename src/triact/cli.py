@@ -19,6 +19,16 @@ from .harness import CHANNELS, ExperimentConfig, HarnessIOError, run
 
 CHANNEL_FLAGS = {name.lower().replace("_", "-"): name for name in CHANNELS}
 
+
+def _number(text: str):
+    """An int for integer text, else a float: ``extension`` takes only an
+    integer k, ``verify`` any real one."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 # Flag / config key -> (ExperimentConfig field, argparse options).
 _FIELD_SPEC = {
     "n_states": ("n_states", {"type": int}),
@@ -28,7 +38,7 @@ _FIELD_SPEC = {
     "out": ("output_path", {}),
     "format": ("output_format", {"choices": ("csv", "json")}),
     "threads": ("threads", {"type": int}),
-    "k": ("k", {"type": float}),
+    "k": ("k", {"type": _number}),
     "p": ("p", {"type": float}),
 }
 

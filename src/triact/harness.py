@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, criteria, protocols
-from .qcore import PureState, _as_int, fidelity_pure, partial_trace
+from .qcore import PureState, _checked, fidelity_pure, partial_trace
 from .states import RngSeed, _isotropic_matrix, erased, max_entangled, \
     random_mixed_hs, random_pure_fs
 
@@ -51,40 +51,33 @@ class ExperimentConfig:
     output_path: str | None = None
     output_format: str = "csv"
     threads: int = 1
-    k: float = 3.0
+    k: float = 3  # an integer for extension_verify
     p: float = 0.9
 
     def __post_init__(self):
-        if self.experiment not in RUNNERS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+        # Tuples, so that an unhashable value is unknown, not a TypeError.
+        for what, value, known in (
+                ("experiment", self.experiment, tuple(RUNNERS)),
+                ("channel", self.channel, tuple(CHANNELS)),
+                ("output format", self.output_format, ("csv", "json"))):
+            if value not in known:
+                raise ValueError(f"unknown {what} {value!r}")
+        sweep = self.experiment == "decoherence_sweep"
         if self.n_states is None:
-            self.n_states = (2000 if self.experiment == "decoherence_sweep"
-                             else 100_000)
-        for name in ("n_states", "n_time_steps", "seed", "threads"):
-            setattr(self, name, _as_int(getattr(self, name), name))
-        if self.n_states < 1:
-            raise ValueError("n_states must be >= 1")
-        if self.experiment == "decoherence_sweep" and self.n_time_steps < 2:
-            raise ValueError("sweeps need n_time_steps >= 2")
-        if self.experiment == "protocol_verify" and not 0 <= self.p <= 1:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.experiment == "protocol_verify" and not (
-                1 <= self.k < protocols.MAX_ERASED_K):
-            raise ValueError(f"k must be in [1, {protocols.MAX_ERASED_K:g}),"
-                             f" got {self.k}")
-        if self.experiment == "extension_verify" and not (
-                float(self.k).is_integer()
-                and 2 <= self.k <= protocols.MAX_EXTENSION_K):
-            raise ValueError(f"k must be an integer in "
-                             f"[2, {protocols.MAX_EXTENSION_K}], got {self.k}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+            self.n_states = 2000 if sweep else 100_000
+        self.n_states = _checked(self.n_states, "n_states", 1, integer=True)
+        self.n_time_steps = _checked(self.n_time_steps, "n_time_steps",
+                                     2 if sweep else -math.inf, integer=True)
+        self.seed = _checked(self.seed, "seed", 0, 2**64, integer=True,
+                             hi_open=True)
+        self.threads = _checked(self.threads, "threads", 1, integer=True)
+        if self.experiment == "protocol_verify":
+            self.p = _checked(self.p, "p", 0, 1)
+            self.k = _checked(self.k, "k", 1, protocols.MAX_ERASED_K,
+                              hi_open=True)
+        if self.experiment == "extension_verify":
+            self.k = _checked(self.k, "k", 2, protocols.MAX_EXTENSION_K,
+                              integer=True)
 
 
 def _fmt(x) -> str:
@@ -394,7 +387,7 @@ def _projective_povm(rng, d: int):
 def run_extension_verify(cfg: ExperimentConfig):
     """Check that every (A, B_i) marginal of the k-party extension is
     erased(k)."""
-    k = int(cfg.k)
+    k = cfg.k
     ext = protocols.build_symmetric_extension(k)
     target = erased(k).matrix
     worst = 0.0

@@ -21,9 +21,9 @@ import numpy as np
 
 from .channels import weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (DensityMatrix, DimensionError, PureState, _as_int,
-                    _kron, partial_trace, project_and_condition,
-                    require_hermitian, tensor)
+from .qcore import (DensityMatrix, DimensionError, PureState, _checked, _kron,
+                    partial_trace, project_and_condition, require_hermitian,
+                    tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -61,9 +61,8 @@ def _bell_vectors(d: int) -> np.ndarray:
 
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
-    index = _as_int(index, "Bell index")
-    if not 0 <= index < d * d:
-        raise ValueError(f"Bell index {index} out of range for d={d}")
+    d = _checked(d, "d", 2, integer=True)
+    index = _checked(index, "Bell index", 0, d * d, integer=True, hi_open=True)
     return PureState((d, d), _bell_vectors(d)[0, index].conj().reshape(-1))
 
 
@@ -92,13 +91,11 @@ def double_teleport(phi: PureState, p: float, d: int,
     The projection is contracted leg by leg, without the d^6 network
     state, and stays independent of the closed form ``eq2_mixture``.
     """
-    if d > MAX_TELEPORT_D or d < 2:
-        raise DimensionError(f"d={d} outside supported range [2, {MAX_TELEPORT_D}]")
+    d = _checked(d, "d", 2, MAX_TELEPORT_D, integer=True, error=DimensionError)
     if phi.dims != (d, d):
         raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
-    out1, out2 = (_as_int(out, "Bell outcome") for out in bell_outcome)
-    if not all(0 <= out < d * d for out in (out1, out2)):
-        raise ValueError(f"Bell outcomes {bell_outcome} out of range for d={d}")
+    out1, out2 = (_checked(out, "Bell outcome", 0, d * d, integer=True,
+                           hi_open=True) for out in bell_outcome)
     iso = _isotropic_matrix(p, d)
     # The Bell basis carries the Weyl on the prepared-state slot of each
     # pair: F1 is the second subsystem of (B1, F1), F2 the first of
@@ -216,11 +213,11 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     for every outcome.  ``b_outcomes`` selects the first-step results; a
     1 on either side ends the protocol there.
     """
-    bell_outcome = _as_int(bell_outcome, "bell_outcome")
-    if not 0 <= bell_outcome < 4:
-        raise ValueError(f"bell_outcome must be in 0..3, got {bell_outcome}")
-    b_outcomes = tuple(_as_int(b, "b_outcomes") for b in b_outcomes)
-    if len(b_outcomes) != 2 or any(b not in (0, 1) for b in b_outcomes):
+    bell_outcome = _checked(bell_outcome, "bell_outcome", 0, 4, integer=True,
+                            hi_open=True)
+    b_outcomes = tuple(_checked(b, "b_outcomes", 0, 1, integer=True)
+                       for b in b_outcomes)
+    if len(b_outcomes) != 2:
         raise ValueError(f"b_outcomes must be two of 0 or 1, got {b_outcomes}")
     if b_outcomes == (0, 0):
         # The Bell projector on the qubit levels of (B1, B2) lies inside
@@ -249,9 +246,7 @@ def build_symmetric_extension(k: int) -> DensityMatrix:
     rho = (1/k) sum_i Bell(A, B_i) (x) |2><2| on the other B's; the Bobs
     are exchangeable by construction.
     """
-    k = _as_int(k, "k", DimensionError)
-    if not 2 <= k <= MAX_EXTENSION_K:
-        raise DimensionError(f"k={k} outside supported range [2, {MAX_EXTENSION_K}]")
+    k = _checked(k, "k", 2, MAX_EXTENSION_K, integer=True, error=DimensionError)
     dims = (2,) + (3,) * k
     total = 2 * 3**k
     # Each term's two nonzero amplitudes (|0>, |1> on A and B_i, |2> on

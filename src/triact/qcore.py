@@ -11,6 +11,7 @@ convention.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
@@ -53,6 +54,28 @@ def require_hermitian(m) -> np.ndarray:
     return a
 
 
+def _checked(value, name: str, lo, hi=math.inf, *, integer: bool = False,
+             hi_open: bool = False, error=ValueError):
+    """``value`` as a Python int (``integer``: Python and numpy integers
+    only) or float (any real number), checked to lie in [lo, hi], or in
+    [lo, hi) with ``hi_open``; NaN fails every bound.  Anything else
+    raises ``error`` with ``name`` first."""
+    if integer:
+        try:
+            x = operator.index(value)
+        except TypeError:
+            raise error(f"{name}: integers only, got {value!r}") from None
+    elif isinstance(value, numbers.Real):
+        x = float(value)
+    else:
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not (lo <= x < hi if hi_open else lo <= x <= hi):
+        bounds = (f">= {lo}" if hi == math.inf else
+                  f"in [{lo}, {hi}{')' if hi_open else ']'}")
+        raise error(f"{name} must be {bounds}, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over an ordered list of subsystem dimensions."""
@@ -61,12 +84,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_checked(d, "dims", 1, integer=True, error=DimensionError)
+                     for d in self.dims)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"invalid dims {dims}")
         total = math.prod(dims)
         if amps.size != total:
             raise DimensionError(
@@ -89,10 +111,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_checked(d, "dims", 1, integer=True, error=DimensionError)
+                     for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if any(d < 1 for d in dims):
-            raise DimensionError(f"invalid dims {dims}")
         total = math.prod(dims)
         if total > MAX_TOTAL_DIM:
             raise DimensionError(
@@ -126,15 +147,6 @@ class DensityMatrix:
         return cls(tuple(dims), m / tr)
 
 
-def _as_int(value, name: str, error=ValueError) -> int:
-    """``value`` as an int if it is one (numpy integers too), else raise
-    ``error``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name}: integers only, got {value!r}") from None
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two 2-d arrays, bit for bit: the one broadcast
     product, without np.kron's n-d set-up, which dominates at the small
@@ -157,12 +169,11 @@ def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityM
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``; kept order is preserved."""
-    keep = sorted({_as_int(i, "subsystem indices") for i in keep})
     n = len(rho.dims)
+    keep = sorted({_checked(i, "subsystem indices", 0, n, integer=True,
+                            hi_open=True) for i in keep})
     if not keep:
         raise ValueError("keep set must be nonempty")
-    if any(i < 0 or i >= n for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
     dims = list(rho.dims)
     t = rho.matrix.reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
@@ -189,13 +200,12 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
     either square on those legs, or maps a single leg to a new dimension
     (d_out x d_in).  Returns ``(out_matrix, out_dims)``.
     """
-    legs = [_as_int(s, "subsystem indices") for s in legs]
-    n, k = len(dims), len(legs)
+    n = len(dims)
+    legs = [_checked(s, "subsystem indices", 0, n, integer=True, hi_open=True)
+            for s in legs]
+    k = len(legs)
     if sorted(set(legs)) != legs:
         raise ValueError("subsystems must be distinct and ascending")
-    if any(s < 0 or s >= n for s in legs):
-        raise ValueError(f"subsystem indices {legs} out of range "
-                         f"for {n} subsystems")
     sub_dims = [dims[s] for s in legs]
     d_sub = math.prod(sub_dims)
     stack = np.asarray(ops, dtype=complex)

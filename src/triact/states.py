@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureState, _as_int, _kron
+from .qcore import DensityMatrix, PureState, _checked, _kron
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,9 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("seed", "stream_index"):
-            value = _as_int(getattr(self, name), name)
-            if not 0 <= value < 2**64:
-                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _checked(
+                getattr(self, name), name, 0, 2**64, integer=True,
+                hi_open=True))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
@@ -70,8 +69,7 @@ def _philox_key_type():
 def _psi_plus(d: int) -> np.ndarray:
     """The d^2 amplitudes of |Psi_+^d>, built once per d and shared,
     hence read-only."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d = _checked(d, "d", 2, integer=True)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
     amps.flags.writeable = False
@@ -105,8 +103,7 @@ def isotropic(p: float, d: int = 2) -> DensityMatrix:
 def _isotropic_matrix(p: float, d: int) -> np.ndarray:
     """The matrix of ``isotropic(p, d)``, for kernels that need no
     validated container."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = _checked(p, "p", 0, 1)
     proj, eye = _isotropic_parts(d)
     mat = p * proj
     mat += (1 - p) * eye / d**2
@@ -119,8 +116,7 @@ def erased(k: float) -> DensityMatrix:
     With probability 1/k the pair survives on B-levels {0, 1}; otherwise
     B is left in the flag level |2> and A maximally mixed.
     """
-    if not k >= 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _checked(k, "k", 1)
     mat = (1 - 1 / k) * _kron(np.eye(2) / 2, np.diag([0.0, 0.0, 1.0]))
     # |Psi_+><Psi_+| / k: |00> and |11> are indices 0 and 4 of the 2x3 layout.
     mat[np.ix_((0, 4), (0, 4))] += 0.5 / k
@@ -142,8 +138,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
     rho = G G^dag / Tr(G G^dag) with G a d x d matrix of independent
     standard complex Gaussian entries.
     """
-    if d_total < 2:
-        raise ValueError(f"d_total must be >= 2, got {d_total}")
+    d_total = _checked(d_total, "d_total", 2, integer=True)
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
     m = g @ g.conj().T
     m /= m.trace().real
@@ -152,8 +147,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
 
 def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
     """Fubini-Study-random pure state: normalized complex Gaussian vector."""
-    if d_total < 2:
-        raise ValueError(f"d_total must be >= 2, got {d_total}")
+    d_total = _checked(d_total, "d_total", 2, integer=True)
     v = _complex_gaussian(rng.generator(), (d_total,))
     return PureState(dims if dims is not None else (d_total,),
                      v / np.linalg.norm(v))

@@ -246,3 +246,21 @@ def test_horodecki_local_unitary_invariance():
         u = np.kron(random_unitary(rng), random_unitary(rng))
         rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
         assert abs(horodecki_m(rho) - horodecki_m(rotated)) < 1e-9
+    # classify_batch: every float field is invariant under U (x) V, and
+    # each flag wherever its quantity is clear of the 1 and 0 boundaries
+    mats = np.stack([mixed(i, seed=23).matrix for i in range(200)])
+    us = [np.kron(random_unitary(rng), random_unitary(rng))
+          for _ in range(len(mats))]
+    got = classify_batch(mats)
+    rot = classify_batch(np.stack([u @ m @ u.conj().T
+                                   for u, m in zip(us, mats)]))
+    for field in ("m_value", "chsh_max", "s_a", "s_b", "s_ab"):
+        np.testing.assert_allclose(rot[field], got[field], rtol=0,
+                                   atol=1e-12)
+    m_clear = np.abs(got["m_value"] - 1) > 1e-6
+    margin = np.maximum(got["s_a"], got["s_b"]) - got["s_ab"]
+    margin_clear = np.abs(margin) > 1e-6
+    for flag, clear in (("violates_chsh", m_clear),
+                        ("hashing_distillable", margin_clear),
+                        ("nonlocal_resource", m_clear & margin_clear)):
+        np.testing.assert_array_equal(rot[flag][clear], got[flag][clear])

@@ -37,6 +37,10 @@ def test_config_validation():
         ExperimentConfig(experiment="decoherence_sweep", n_time_steps=1)
     with pytest.raises(ValueError):
         ExperimentConfig(channel="XY")
+    # unhashable names are unknown names, not a TypeError
+    for field in ("experiment", "channel", "output_format"):
+        with pytest.raises(ValueError, match="unknown"):
+            ExperimentConfig(**{field: []})
     for field in ("n_states", "n_time_steps", "seed", "threads"):
         for bad in (2.5, 2.0, "2"):
             with pytest.raises(ValueError, match=field):
@@ -419,8 +423,8 @@ def test_cli_bad_arguments_exit_2(capsys):
     for cmd in ("census", "sweep", "verify"):
         for seed in ("-1", str(2**64)):
             assert cli_main([cmd, "--seed", seed]) == 2
-    # extension checks exactly the k it is given
-    for k in ("2.5", "9", "0"):
+    # extension checks exactly the k it is given, an integer written as one
+    for k in ("2.5", "9", "0", "4.0"):
         assert cli_main(["extension", "--k", k]) == 2
 
 
