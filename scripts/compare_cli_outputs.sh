@@ -25,6 +25,7 @@ experiments=(
     "sweep_d sweep --channel d --n-states 50 --steps 300 --format json --out sweep_d.json"
     "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"
     "verify verify --out verify.json"
+    "verify_k verify --seed 3 --k 7.5 --p 0.35 --out verify_k.json"
     "iso_csv iso-curve --out iso.csv"
     "iso_json iso-curve --format json --out iso.json"
     "extension extension --k 4"

@@ -2,9 +2,8 @@
 
 from .channels import (KrausChannel, apply, local_decohere, make_ad, make_d,
                        make_erasure, make_pd, weyl_operators)
-from .criteria import (Classification, chsh_value, classify,
-                       correlation_matrix, hashing_criterion, horodecki_m,
-                       maximize_chsh)
+from .criteria import (Classification, classify, correlation_matrix,
+                       hashing_criterion, horodecki_m, maximize_chsh)
 from .harness import ExperimentConfig, run
 from .protocols import (ProtocolOutcome, bell_state,
                         build_symmetric_extension, double_teleport,

@@ -100,6 +100,7 @@ def make_erasure(k: float) -> KrausChannel:
 def weyl_operators(d: int) -> tuple:
     """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b);
     built once per d and shared, hence read-only."""
+    d = _checked(d, "d", 1, integer=True)
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))

@@ -160,18 +160,6 @@ def classify_batch(mats: np.ndarray):
     }
 
 
-def chsh_value(rho: DensityMatrix, a, a2, b, b2) -> float:
-    """CHSH combination E(a,b) + E(a,b') + E(a',b) - E(a',b') for explicit
-    Bloch measurement directions, with E(a,b) = a^T T b."""
-    vecs = [np.asarray(v, dtype=float) for v in (a, a2, b, b2)]
-    for v in vecs:
-        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1) <= 1e-10:
-            raise ValueError("measurement settings must be unit 3-vectors")
-    a, a2, b, b2 = vecs
-    t = correlation_matrix(rho)
-    return float(a @ t @ b + a @ t @ b2 + a2 @ t @ b - a2 @ t @ b2)
-
-
 def maximize_chsh(rho: DensityMatrix):
     """Numerically maximized CHSH value with the optimal settings.
 

@@ -62,22 +62,24 @@ class ExperimentConfig:
                 ("output format", self.output_format, ("csv", "json"))):
             if value not in known:
                 raise ValueError(f"unknown {what} {value!r}")
-        sweep = self.experiment == "decoherence_sweep"
+        # Every field is checked for every experiment; only the n_states
+        # default and the k rule depend on it.
         if self.n_states is None:
+            sweep = self.experiment == "decoherence_sweep"
             self.n_states = 2000 if sweep else 100_000
         self.n_states = _checked(self.n_states, "n_states", 1, integer=True)
-        self.n_time_steps = _checked(self.n_time_steps, "n_time_steps",
-                                     2 if sweep else -math.inf, integer=True)
+        self.n_time_steps = _checked(self.n_time_steps, "n_time_steps", 2,
+                                     integer=True)
         self.seed = _checked(self.seed, "seed", 0, 2**64, integer=True,
                              hi_open=True)
         self.threads = _checked(self.threads, "threads", 1, integer=True)
-        if self.experiment == "protocol_verify":
-            self.p = _checked(self.p, "p", 0, 1)
-            self.k = _checked(self.k, "k", 1, protocols.MAX_ERASED_K,
-                              hi_open=True)
+        self.p = _checked(self.p, "p", 0, 1)
         if self.experiment == "extension_verify":
             self.k = _checked(self.k, "k", 2, protocols.MAX_EXTENSION_K,
                               integer=True)
+        else:
+            self.k = _checked(self.k, "k", 1, protocols.MAX_ERASED_K,
+                              hi_open=True)
 
 
 def _fmt(x) -> str:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import weyl_operators
+from .channels import COMPLETENESS_TOL, weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (DensityMatrix, DimensionError, PureState, _checked, _kron,
-                    partial_trace, project_and_condition, require_hermitian,
-                    tensor)
+from .qcore import (PSD_TOL, ZERO_PROB, DensityMatrix, DimensionError,
+                    PureState, _checked, _kron, partial_trace,
+                    project_and_condition, require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -31,8 +31,8 @@ from .states import _isotropic_matrix, _psi_plus, erased
 MAX_TELEPORT_D = 3
 MAX_EXTENSION_K = 4
 # From this k on, the erased protocol's success branch (probability
-# 1/(4k^2)) falls under the 1e-12 zero-probability marker.
-MAX_ERASED_K = 5e5
+# 1/(4k^2)) falls under the zero-probability marker: exactly 5e5.
+MAX_ERASED_K = (4 * ZERO_PROB) ** -0.5
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,31 @@ def bell_state(d: int, index: int) -> PureState:
     return PureState((d, d), _bell_vectors(d)[0, index].conj().reshape(-1))
 
 
-def _swap(ab, proj, cb, da: int, db1: int, db2: int, dc: int) -> np.ndarray:
-    """Entanglement swapping on raw arrays: the unnormalised (A, C) matrix
-    Tr_{B1 B2}[proj (rho_{A B1} (x) rho_{C B2})], each factor ordered
-    (outer party, Bob's share), without building the four-party array."""
-    ab = ab.reshape(da, db1, da, db1)
-    cb = cb.reshape(dc, db2, dc, db2)
-    proj = proj.reshape(db1, db2, db1, db2)
-    ac = np.einsum("xyij,aibx,cjdy->acbd", proj, ab, cb)
-    return ac.reshape(da * dc, da * dc)
+def _swap(rho, proj, d_outer: int, d_bob: int):
+    """Entanglement swapping on raw arrays, conditioned on Bob's outcome.
+
+    ``rho`` is the one shared state, ordered (outer party, Bob's share),
+    and serves as both rho_{A B1} and rho_{C B2}.  The (A, C) matrix
+    Tr_{B1 B2}[proj (rho_{A B1} (x) rho_{C B2})] is contracted without
+    the four-party array.  Returns ``(probability, state)``, or
+    ``(0.0, None)`` below ``ZERO_PROB``."""
+    pair = rho.reshape(d_outer, d_bob, d_outer, d_bob)
+    proj = proj.reshape(d_bob, d_bob, d_bob, d_bob)
+    ac = np.einsum("xyij,aibx,cjdy->acbd", proj, pair, pair)
+    ac = ac.reshape(d_outer**2, d_outer**2)
+    prob = float(np.trace(ac).real)
+    if prob < ZERO_PROB:
+        return 0.0, None
+    return prob, DensityMatrix.cleaned(ac / prob, (d_outer, d_outer))
+
+
+def _teleport_d(phi: PureState, d) -> int:
+    """The teleportation protocols' d, an integer in [2, MAX_TELEPORT_D]
+    (else DimensionError), with ``phi`` on (d, d)."""
+    d = _checked(d, "d", 2, MAX_TELEPORT_D, integer=True, error=DimensionError)
+    if phi.dims != (d, d):
+        raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
+    return d
 
 
 def double_teleport(phi: PureState, p: float, d: int,
@@ -91,9 +107,7 @@ def double_teleport(phi: PureState, p: float, d: int,
     The projection is contracted leg by leg, without the d^6 network
     state, and stays independent of the closed form ``eq2_mixture``.
     """
-    d = _checked(d, "d", 2, MAX_TELEPORT_D, integer=True, error=DimensionError)
-    if phi.dims != (d, d):
-        raise ValueError(f"phi must have dims ({d}, {d}), got {phi.dims}")
+    d = _teleport_d(phi, d)
     out1, out2 = (_checked(out, "Bell outcome", 0, d * d, integer=True,
                            hi_open=True) for out in bell_outcome)
     iso = _isotropic_matrix(p, d)
@@ -106,11 +120,7 @@ def double_teleport(phi: PureState, p: float, d: int,
     bras = _bell_vectors(d)
     w = (bras[0, out1] @ phi.amplitudes.reshape(d, d)
          @ bras[1, out2]).reshape(-1)
-    ac = _swap(iso, np.outer(w.conj(), w), iso, d, d, d, d)
-    prob = float(np.trace(ac).real)
-    if prob < 1e-12:
-        return ProtocolOutcome(0.0, None, (out1, out2))
-    return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (d, d)),
+    return ProtocolOutcome(*_swap(iso, np.outer(w.conj(), w), d, d),
                            (out1, out2))
 
 
@@ -130,6 +140,8 @@ def eq2_mixture(phi: PureState, p: float, d: int) -> DensityMatrix:
     """The four-term conditional-state mixture for the Psi_+ branch:
     p^2 |phi><phi| + p(1-p) (sigma_A (x) I/d + I/d (x) sigma_C)
     + (1-p)^2 I/d (x) I/d."""
+    d = _teleport_d(phi, d)
+    p = _checked(p, "p", 0, 1)
     rho_phi, local = _eq2_terms(phi, p, d)
     return DensityMatrix((d, d), p**2 * rho_phi + local)
 
@@ -148,10 +160,10 @@ def _check_povm(ops, d: int):
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("POVM elements must be d x d matrices")
-        if np.linalg.eigvalsh(m)[0] < -1e-10:
+        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
             raise ValueError("POVM elements must be PSD")
         total += m
-    if np.max(np.abs(total - np.eye(d))) > 1e-10:
+    if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
         raise ValueError("POVM elements must sum to the identity")
     return mats
 
@@ -172,6 +184,7 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
     measurement on |phi><phi| and P_loc a mixture of product
     distributions (hence local).
     """
+    d = _teleport_d(phi, d)
     alice = _check_povm(alice_povm, d)
     charlie = _check_povm(charlie_povm, d)
     rho_f = double_teleport(phi, p, d, (0, 0)).conditional_state
@@ -229,15 +242,8 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     else:
         proj = _kron(*(M_B0 if b == 0 else M_B1 for b in b_outcomes))
         labels = b_outcomes
-    # erased(k) checks k and is ordered (A, B1); the same matrix serves
-    # as (C, B2).
-    rho = erased(k).matrix
-    ac = _swap(rho, proj, rho, 2, 3, 3, 2)
-    prob = float(np.trace(ac).real)
-    if prob < 1e-12:
-        return ProtocolOutcome(0.0, None, labels)
-    return ProtocolOutcome(prob, DensityMatrix.cleaned(ac / prob, (2, 2)),
-                           labels)
+    # erased(k) checks k and is ordered (outer party, Bob's share).
+    return ProtocolOutcome(*_swap(erased(k).matrix, proj, 2, 3), labels)
 
 
 def build_symmetric_extension(k: int) -> DensityMatrix:

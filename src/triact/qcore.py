@@ -24,6 +24,9 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
+# Outcome probability below which a conditioned state is None (the
+# zero-probability marker).
+ZERO_PROB = 1e-12
 
 # Largest total Hilbert-space dimension we allow to be built.
 MAX_TOTAL_DIM = 4096
@@ -238,15 +241,15 @@ def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
 
     ``proj`` acts on the listed subsystems in their given (ascending)
     order and is applied to those tensor legs only.  Returns
-    ``(probability, conditional_state)``.  When the outcome probability
-    is below 1e-12 the state slot is None (zero-probability marker).
+    ``(probability, conditional_state)``, or ``(0.0, None)`` when the
+    outcome probability is below ``ZERO_PROB``.
     """
     p = require_hermitian(proj)
     if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
         raise ValidationError("projector is not idempotent")
     out, _ = apply_to_legs([p], rho.matrix, rho.dims, subsystems)
     prob = float(np.trace(out).real)
-    if prob < 1e-12:
+    if prob < ZERO_PROB:
         return 0.0, None
     return prob, DensityMatrix.cleaned(out / prob, rho.dims)
 

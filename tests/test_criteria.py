@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from triact.channels import two_qubit_kraus_stack
-from triact.criteria import (PAULI_KRON, TIE_TOLERANCE, chsh_value, classify,
+from triact.criteria import (PAULI_KRON, TIE_TOLERANCE, classify,
                              classify_batch, correlation_matrix,
                              hashing_criterion, horodecki_m, maximize_chsh)
 from triact.harness import CHANNELS
@@ -22,6 +22,19 @@ def random_unitary(rng, d=2):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def chsh_value(rho, a, a2, b, b2):
+    """CHSH combination E(a,b) + E(a,b') + E(a',b) - E(a',b') for explicit
+    Bloch measurement directions, with E(a,b) = a^T T b: the reference
+    that `maximize_chsh`'s settings are checked against."""
+    vecs = [np.asarray(v, dtype=float) for v in (a, a2, b, b2)]
+    for v in vecs:
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1) <= 1e-10:
+            raise ValueError("measurement settings must be unit 3-vectors")
+    a, a2, b, b2 = vecs
+    t = correlation_matrix(rho)
+    return float(a @ t @ b + a @ t @ b2 + a2 @ t @ b - a2 @ t @ b2)
 
 
 def test_correlation_matrix_cases():

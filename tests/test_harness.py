@@ -41,6 +41,10 @@ def test_config_validation():
     for field in ("experiment", "channel", "output_format"):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig(**{field: []})
+    # every field is checked for every experiment, read or not
+    for field, bad in (("p", "x"), ("k", None), ("n_time_steps", -5)):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(experiment="census", **{field: bad})
     for field in ("n_states", "n_time_steps", "seed", "threads"):
         for bad in (2.5, 2.0, "2"):
             with pytest.raises(ValueError, match=field):

@@ -3,17 +3,19 @@ known Hilbert-Schmidt separability probability, the criteria against
 the Peres condition, and the decoherence sweeps against properties every
 local channel must have.  The partial transpose is computed here, not
 through `criteria`, and the sweeps evolve each state with
-`local_decohere`, not with the harness's Kraus stack.  The batch
-iso-curve is checked against the scalar `classify` and `horodecki_m`,
-and the literal measurement in `double_teleport` and the closed form
-`eq2_mixture` are each shown to run without the other's code."""
+`local_decohere`, not with the harness's Kraus stack; the harness's
+sweep flags are checked against its sweep of locally rotated states.
+The batch iso-curve is checked against the scalar `classify` and
+`horodecki_m`, and the literal measurement in `double_teleport` and the
+closed form `eq2_mixture` are each shown to run without the other's
+code."""
 
 import math
 
 import numpy as np
 import pytest
 
-from triact import criteria, protocols
+from triact import criteria, harness, protocols
 from triact.channels import local_decohere, make_ad, make_d, make_pd
 from triact.criteria import classify, classify_batch, horodecki_m
 from triact.harness import ExperimentConfig, run_iso_curve
@@ -111,6 +113,69 @@ def test_pd_verbatim_is_pd_at_folded_strength(sweeps):
     for key in ("m_value", "s_a", "s_b", "s_ab"):
         dev = np.abs(sweeps["PD_verbatim"][key] - sweeps["PD_folded"][key])
         assert np.max(dev) <= 1e-12, key
+
+
+def haar_unitary(rng):
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def z_phases(rng):
+    """e^{i a Z} (x) e^{i b Z} for uniform a, b."""
+    a, b = rng.uniform(0, 2 * np.pi, 2)
+    return np.kron(np.diag(np.exp([1j * a, -1j * a])),
+                   np.diag(np.exp([1j * b, -1j * b])))
+
+
+X_FLIPS = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex)
+
+# Each channel with a draw of local unitaries it commutes with: D with
+# every unitary, AD and PD with z-rotations, PD also with an X flip.
+COVARIANT = {
+    "D-haar": ("D", lambda rng: np.kron(haar_unitary(rng),
+                                        haar_unitary(rng))),
+    "AD-z": ("AD", z_phases),
+    "PD-z": ("PD", z_phases),
+    "PD-x-flip": ("PD", lambda rng: X_FLIPS @ z_phases(rng)),
+    "PD_verbatim-z": ("PD_verbatim", z_phases),
+}
+
+
+@pytest.mark.parametrize("channel, draw", COVARIANT.values(),
+                         ids=COVARIANT.keys())
+def test_sweep_flags_invariant_under_local_unitaries(monkeypatch, channel,
+                                                     draw):
+    """If the channel commutes with U (x) V, the rotated state evolves
+    into the rotation of the unrotated state's evolution, and the
+    classification is invariant under local unitaries: `_sweep_chunk`
+    gives the same flags when each drawn state is rotated, except within
+    1e-6 of the CHSH or hashing boundary of the unrotated state."""
+    indices = range(40)
+    cols = []
+
+    def recording(mats):
+        cols.append(classify_batch(mats))
+        return cols[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "classify_batch", recording)
+        want = harness._sweep_chunk(0, indices, channel, len(SWEEP_TS))
+    rng = np.random.default_rng(11)
+    drawn = harness.random_pure_fs
+
+    def rotated(*args, **kwargs):
+        psi = drawn(*args, **kwargs)
+        return PureState(psi.dims, draw(rng) @ psi.amplitudes)
+
+    monkeypatch.setattr(harness, "random_pure_fs", rotated)
+    got = harness._sweep_chunk(0, indices, channel, len(SWEEP_TS))
+    m_value = np.stack([c["m_value"] for c in cols])
+    margin = np.stack([np.maximum(c["s_a"], c["s_b"]) - c["s_ab"]
+                       for c in cols])
+    clear = (np.abs(m_value - 1) >= 1e-6) & (np.abs(margin) >= 1e-6)
+    assert want.any() and clear.mean() > 0.9
+    np.testing.assert_array_equal(got[clear], want[clear])
 
 
 def test_isotropic_matrix_is_the_validated_matrix():

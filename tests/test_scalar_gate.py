@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triact.channels import make_ad, make_d, make_erasure, make_pd
+from triact.channels import (make_ad, make_d, make_erasure, make_pd,
+                             weyl_operators)
 from triact.harness import ExperimentConfig
 from triact.protocols import (bell_state, build_symmetric_extension,
-                              double_teleport, erased_protocol)
+                              double_teleport, eq2_mixture, erased_protocol,
+                              teleport_distribution)
 from triact.qcore import DensityMatrix, DimensionError, PureState
 from triact.states import (RngSeed, erased, isotropic, max_entangled,
                            random_mixed_hs, random_pure_fs)
@@ -21,6 +23,7 @@ from triact.states import (RngSeed, erased, isotropic, max_entangled,
 NAN = float("nan")
 PHI = max_entangled(2)
 PSI_2 = np.array([1, 0], dtype=complex)
+POVM = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
 
 
 def config(experiment, **kw):
@@ -36,6 +39,8 @@ GATED = [
      ("0.3", None, NAN, 1.5), ValueError),
     ("make_d t", make_d, ("0.3", None, NAN, 1.5, -0.1), ValueError),
     ("make_erasure k", make_erasure, ("3", None, NAN, 0.5), ValueError),
+    ("weyl_operators d", weyl_operators, ("2", None, NAN, 0, 2.5, 2.0),
+     ValueError),
     ("erased k", erased, ("3", None, NAN, 0.5), ValueError),
     ("isotropic p", isotropic, ("0.5", None, NAN, 1.2, -0.1), ValueError),
     ("isotropic d", lambda d: isotropic(0.5, d), ("2", None, NAN, 1, 2.0),
@@ -63,6 +68,13 @@ GATED = [
     ("double_teleport outcome",
      lambda o: double_teleport(PHI, 0.5, 2, (0, o)), ("0", None, NAN, 4),
      ValueError),
+    ("eq2_mixture d", lambda d: eq2_mixture(PHI, 0.5, d),
+     ("2", None, NAN, 4, 1, 2.0), DimensionError),
+    ("eq2_mixture p", lambda p: eq2_mixture(PHI, p, 2),
+     ("0.5", None, NAN, 1.5, -0.1), ValueError),
+    ("teleport_distribution d",
+     lambda d: teleport_distribution(PHI, 0.5, d, POVM, POVM),
+     ("2", None, NAN, 4, 1, 2.0), DimensionError),
     ("erased_protocol k", erased_protocol, ("3", None, NAN, 0.5), ValueError),
     ("erased_protocol bell_outcome", lambda b: erased_protocol(3.0, b),
      ("0", None, NAN, 4), ValueError),
@@ -107,6 +119,9 @@ def test_gate_errors_name_the_argument():
         DensityMatrix((2.5, 2), np.eye(4) / 4)
     with pytest.raises(ValueError, match=r"^seed must be in \[0, "):
         RngSeed(-1)
+    # a p-range error, not the PSD gate of the mixture it would build
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\]"):
+        eq2_mixture(PHI, 1.5, 2)
 
 
 def test_numpy_scalars_are_stored_as_python_numbers():
