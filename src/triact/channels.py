@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import (DensityMatrix, PureState, ValidationError, _checked,
-                    apply_to_legs)
+from .qcore import (MAX_PAIR_D, DensityMatrix, PureState, ValidationError,
+                    _checked, apply_to_legs)
 
 COMPLETENESS_TOL = 1e-10
 
@@ -100,7 +100,7 @@ def make_erasure(k: float) -> KrausChannel:
 def weyl_operators(d: int) -> tuple:
     """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b);
     built once per d and shared, hence read-only."""
-    d = _checked(d, "d", 1, integer=True)
+    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import channels, criteria, protocols
 from .qcore import PureState, _checked, fidelity_pure, partial_trace
-from .states import RngSeed, _isotropic_matrix, erased, max_entangled, \
-    random_mixed_hs, random_pure_fs
+from .states import RngSeed, _complex_gaussian, _isotropic_matrix, erased, \
+    max_entangled, random_mixed_hs, random_pure_fs
 
 CHANNELS = {
     "AD": channels.make_ad,
@@ -62,6 +62,8 @@ class ExperimentConfig:
                 ("output format", self.output_format, ("csv", "json"))):
             if value not in known:
                 raise ValueError(f"unknown {what} {value!r}")
+        if self.output_path == "":
+            raise ValueError("output_path must not be empty")
         # Every field is checked for every experiment; only the n_states
         # default and the k rule depend on it.
         if self.n_states is None:
@@ -376,12 +378,12 @@ def run_protocol_verify(cfg: ExperimentConfig):
 
 
 def _random_pure(rng, d: int):
-    v = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    v = _complex_gaussian(rng, (d * d,))
     return PureState((d, d), v / np.linalg.norm(v))
 
 
 def _projective_povm(rng, d: int):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = _complex_gaussian(rng, (d, d))
     q, _ = np.linalg.qr(g)
     return [np.outer(q[:, i], q[:, i].conj()) for i in range(d)]
 

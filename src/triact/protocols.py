@@ -21,9 +21,10 @@ import numpy as np
 
 from .channels import COMPLETENESS_TOL, weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (PSD_TOL, ZERO_PROB, DensityMatrix, DimensionError,
-                    PureState, _checked, _kron, partial_trace,
-                    project_and_condition, require_hermitian, tensor)
+from .qcore import (MAX_PAIR_D, PSD_TOL, ZERO_PROB, DensityMatrix,
+                    DimensionError, PureState, _checked, _items, _kron,
+                    partial_trace, project_and_condition, require_hermitian,
+                    tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension for the teleportation protocol (the dimensions
@@ -61,7 +62,7 @@ def _bell_vectors(d: int) -> np.ndarray:
 
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
-    d = _checked(d, "d", 2, integer=True)
+    d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
     index = _checked(index, "Bell index", 0, d * d, integer=True, hi_open=True)
     return PureState((d, d), _bell_vectors(d)[0, index].conj().reshape(-1))
 
@@ -109,7 +110,8 @@ def double_teleport(phi: PureState, p: float, d: int,
     """
     d = _teleport_d(phi, d)
     out1, out2 = (_checked(out, "Bell outcome", 0, d * d, integer=True,
-                           hi_open=True) for out in bell_outcome)
+                           hi_open=True)
+                  for out in _items(bell_outcome, "bell_outcome", 2))
     iso = _isotropic_matrix(p, d)
     # The Bell basis carries the Weyl on the prepared-state slot of each
     # pair: F1 is the second subsystem of (B1, F1), F2 the first of
@@ -229,9 +231,7 @@ def erased_protocol(k: float, bell_outcome: int = 0,
     bell_outcome = _checked(bell_outcome, "bell_outcome", 0, 4, integer=True,
                             hi_open=True)
     b_outcomes = tuple(_checked(b, "b_outcomes", 0, 1, integer=True)
-                       for b in b_outcomes)
-    if len(b_outcomes) != 2:
-        raise ValueError(f"b_outcomes must be two of 0 or 1, got {b_outcomes}")
+                       for b in _items(b_outcomes, "b_outcomes", 2))
     if b_outcomes == (0, 0):
         # The Bell projector on the qubit levels of (B1, B2) lies inside
         # M_B^0 (x) M_B^0, so it covers both measurement steps at once.

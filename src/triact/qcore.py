@@ -15,7 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -28,8 +28,11 @@ NORM_TOL = 1e-12
 # zero-probability marker).
 ZERO_PROB = 1e-12
 
-# Largest total Hilbert-space dimension we allow to be built.
+# Largest total Hilbert-space dimension of a PureState, DensityMatrix or
+# tensor product; the builders bound their d by it before allocating.
 MAX_TOTAL_DIM = 4096
+# Largest d of a (d, d) pair, derived from the cap: 64.
+MAX_PAIR_D = math.isqrt(MAX_TOTAL_DIM)
 
 
 class DimensionError(ValueError):
@@ -79,6 +82,32 @@ def _checked(value, name: str, lo, hi=math.inf, *, integer: bool = False,
     return x
 
 
+def _items(value, name: str, length: int | None = None, *,
+           error=ValueError) -> tuple:
+    """The items of a sized collection ``value`` as a tuple, counted
+    against ``length`` (if given) before any is read; anything else
+    raises ``error`` with ``name`` first."""
+    try:
+        n = len(value)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {value!r}") from None
+    if length is not None and n != length:
+        raise error(f"{name} must hold {length} items, got {n}")
+    return tuple(value)
+
+
+def _checked_dims(dims) -> tuple:
+    """``(dims, total)``: ``dims`` as Python ints >= 1 and their product,
+    at most MAX_TOTAL_DIM, else DimensionError; run before any array."""
+    dims = tuple(_checked(d, "dims", 1, integer=True, error=DimensionError)
+                 for d in _items(dims, "dims", error=DimensionError))
+    total = math.prod(dims)
+    if total > MAX_TOTAL_DIM:
+        raise DimensionError(
+            f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
+    return dims, total
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over an ordered list of subsystem dimensions."""
@@ -87,12 +116,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(_checked(d, "dims", 1, integer=True, error=DimensionError)
-                     for d in self.dims)
+        dims, total = _checked_dims(self.dims)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-        total = math.prod(dims)
         if amps.size != total:
             raise DimensionError(
                 f"amplitude length {amps.size} != product of dims {total}")
@@ -114,13 +141,8 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(_checked(d, "dims", 1, integer=True, error=DimensionError)
-                     for d in self.dims)
+        dims, total = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        total = math.prod(dims)
-        if total > MAX_TOTAL_DIM:
-            raise DimensionError(
-                f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
         m = require_hermitian(self.matrix)
         if m.shape != (total, total):
             raise DimensionError(
@@ -147,7 +169,7 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if tr <= 0:
             raise ValidationError("cannot clean: non-positive trace")
-        return cls(tuple(dims), m / tr)
+        return cls(dims, m / tr)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,20 +183,16 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityMatrix:
     """Kronecker product of states; dims concatenate in argument order."""
     factors = (a, b) + rest
-    dims = tuple(d for f in factors for d in f.dims)
-    total = math.prod(dims)
-    if total > MAX_TOTAL_DIM:
-        raise DimensionError(
-            f"tensor result dimension {total} exceeds cap {MAX_TOTAL_DIM}")
+    dims, _ = _checked_dims([d for f in factors for d in f.dims])
     mat = reduce(_kron, (f.matrix for f in factors))
     return DensityMatrix(dims, mat)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``; kept order is preserved."""
     n = len(rho.dims)
     keep = sorted({_checked(i, "subsystem indices", 0, n, integer=True,
-                            hi_open=True) for i in keep})
+                            hi_open=True) for i in _items(keep, "keep")})
     if not keep:
         raise ValueError("keep set must be nonempty")
     dims = list(rho.dims)
@@ -205,7 +223,7 @@ def apply_to_legs(ops, matrix: np.ndarray, dims: Sequence[int],
     """
     n = len(dims)
     legs = [_checked(s, "subsystem indices", 0, n, integer=True, hi_open=True)
-            for s in legs]
+            for s in _items(legs, "subsystems")]
     k = len(legs)
     if sorted(set(legs)) != legs:
         raise ValueError("subsystems must be distinct and ascending")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, PureState, _checked, _kron
+from .qcore import (MAX_PAIR_D, MAX_TOTAL_DIM, DensityMatrix, PureState,
+                    _checked, _kron)
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def _philox_key_type():
 def _psi_plus(d: int) -> np.ndarray:
     """The d^2 amplitudes of |Psi_+^d>, built once per d and shared,
     hence read-only."""
-    d = _checked(d, "d", 2, integer=True)
+    d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
     amps.flags.writeable = False
@@ -138,7 +139,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
     rho = G G^dag / Tr(G G^dag) with G a d x d matrix of independent
     standard complex Gaussian entries.
     """
-    d_total = _checked(d_total, "d_total", 2, integer=True)
+    d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
     m = g @ g.conj().T
     m /= m.trace().real
@@ -147,7 +148,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
 
 def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
     """Fubini-Study-random pure state: normalized complex Gaussian vector."""
-    d_total = _checked(d_total, "d_total", 2, integer=True)
+    d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
     v = _complex_gaussian(rng.generator(), (d_total,))
     return PureState(dims if dims is not None else (d_total,),
                      v / np.linalg.norm(v))

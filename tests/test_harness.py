@@ -430,6 +430,8 @@ def test_cli_bad_arguments_exit_2(capsys):
     # extension checks exactly the k it is given, an integer written as one
     for k in ("2.5", "9", "0", "4.0"):
         assert cli_main(["extension", "--k", k]) == 2
+    # an empty --out would otherwise write nothing and exit 0
+    assert cli_main(["census", "--n-states", "10", "--out", ""]) == 2
 
 
 def test_cli_help_exits_0(capsys):
