@@ -15,15 +15,14 @@ parametrization available for comparison.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import (MAX_PAIR_D, DensityMatrix, PureState, ValidationError,
-                    _checked, apply_to_legs)
+from .qcore import (DensityMatrix, PureState, ValidationError, _checked,
+                    _per_d, apply_to_legs)
 
 COMPLETENESS_TOL = 1e-10
 
@@ -96,11 +95,10 @@ def make_erasure(k: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
-@functools.lru_cache(maxsize=8)
+@_per_d(1)
 def weyl_operators(d: int) -> tuple:
     """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b);
-    built once per d and shared, hence read-only."""
-    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
+    read-only (see ``qcore._per_d``)."""
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))
@@ -130,9 +128,10 @@ def local_decohere(psi: PureState, make_channel, t: float) -> DensityMatrix:
 def two_qubit_kraus_stack(make_channel, ts) -> np.ndarray:
     """Stacked two-qubit Kraus operators E_i (x) E_j over a grid of t.
 
-    Shape (len(ts), k^2, 4, 4); used to vectorize decoherence sweeps.
-    One broadcast product forms every pair at once, from
-    kron(A, B)[2a + c, 2b + d] = A[a, b] B[c, d].
+    Shape (len(ts), k^2, 4, 4).  One broadcast product forms every pair
+    at once, from kron(A, B)[2a + c, 2b + d] = A[a, b] B[c, d].  The
+    decoherence sweep builds its per-t superoperator from this stack
+    (``harness._superoperators``).
     """
     e = np.stack([make_channel(t).kraus_ops for t in ts])
     prod = e[:, :, None, :, None, :, None] * e[:, None, :, None, :, None, :]

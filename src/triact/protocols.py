@@ -14,22 +14,19 @@ single-copy locality against k measurements on B.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, weyl_operators
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (MAX_PAIR_D, PSD_TOL, ZERO_PROB, DensityMatrix,
-                    DimensionError, PureState, _checked, _items, _kron,
-                    partial_trace, project_and_condition, require_hermitian,
-                    tensor)
+from .qcore import (MAX_PAIR_D, MAX_TELEPORT_D, PSD_TOL, ZERO_PROB,
+                    DensityMatrix, DimensionError, PureState, _checked, _items,
+                    _kron, _per_d, partial_trace, project_and_condition,
+                    require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
-# Largest local dimension for the teleportation protocol (the dimensions
-# its checks cover) and largest copy count for the extension (2 * 3^k).
-MAX_TELEPORT_D = 3
+# Largest copy count for the extension (2 * 3^k).
 MAX_EXTENSION_K = 4
 # From this k on, the erased protocol's success branch (probability
 # 1/(4k^2)) falls under the zero-probability marker: exactly 5e5.
@@ -43,10 +40,10 @@ class ProtocolOutcome:
     outcome_labels: tuple
 
 
-@functools.lru_cache(maxsize=8)
+@_per_d(2)
 def _bell_vectors(d: int) -> np.ndarray:
     """The d^2 Bell vectors as conjugated d x d amplitude arrays, the bras
-    ``double_teleport`` contracts, built once per d and read-only.
+    ``double_teleport`` contracts, read-only (see ``qcore._per_d``).
 
     [0, k] is conj(psi W_k^T), the Weyl on the second subsystem, and
     [1, k] is conj(W_k psi), the Weyl on the first; psi is |Psi_+^d> as

@@ -14,7 +14,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce, wraps
 from typing import Collection, Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ ZERO_PROB = 1e-12
 MAX_TOTAL_DIM = 4096
 # Largest d of a (d, d) pair, derived from the cap: 64.
 MAX_PAIR_D = math.isqrt(MAX_TOTAL_DIM)
+# Largest local dimension of the teleportation protocols (the dimensions
+# their checks cover), and of the per-d arrays kept between calls.
+MAX_TELEPORT_D = 3
 
 
 class DimensionError(ValueError):
@@ -94,6 +97,25 @@ def _items(value, name: str, length: int | None = None, *,
     if length is not None and n != length:
         raise error(f"{name} must hold {length} items, got {n}")
     return tuple(value)
+
+
+def _per_d(lo: int):
+    """Decorator for a builder of read-only per-d arrays: d is gated to an
+    integer in [lo, MAX_PAIR_D], and the result is built once and shared,
+    keyed on the Python int, for d <= MAX_TELEPORT_D, the dims the
+    protocol kernels read on every call.  Larger d is built on each call
+    and kept nowhere."""
+    def wrap(build):
+        # room for every d <= MAX_TELEPORT_D: nothing is ever evicted
+        cached = lru_cache(maxsize=MAX_TELEPORT_D)(build)
+
+        @wraps(build)
+        def get(d):
+            d = _checked(d, "d", lo, MAX_PAIR_D, integer=True)
+            return (cached if d <= MAX_TELEPORT_D else build)(d)
+        get.cache_info = cached.cache_info
+        return get
+    return wrap
 
 
 def _checked_dims(dims) -> tuple:

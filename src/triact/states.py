@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (MAX_PAIR_D, MAX_TOTAL_DIM, DensityMatrix, PureState,
-                    _checked, _kron)
+from .qcore import (MAX_TOTAL_DIM, DensityMatrix, PureState, _checked, _kron,
+                    _per_d)
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,9 @@ def _philox_key_type():
     return PhiloxKey
 
 
-@functools.lru_cache(maxsize=8)
+@_per_d(2)
 def _psi_plus(d: int) -> np.ndarray:
-    """The d^2 amplitudes of |Psi_+^d>, built once per d and shared,
-    hence read-only."""
-    d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
+    """The d^2 amplitudes of |Psi_+^d>, read-only (see ``qcore._per_d``)."""
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
     amps.flags.writeable = False
@@ -82,10 +80,10 @@ def max_entangled(d: int) -> PureState:
     return PureState((d, d), _psi_plus(d))
 
 
-@functools.lru_cache(maxsize=8)
+@_per_d(2)
 def _isotropic_parts(d: int) -> tuple:
-    """|Psi_+^d><Psi_+^d| and the d^2 x d^2 identity, built once per d and
-    shared, hence read-only."""
+    """|Psi_+^d><Psi_+^d| and the d^2 x d^2 identity, read-only (see
+    ``qcore._per_d``)."""
     psi = _psi_plus(d)
     parts = np.outer(psi, psi.conj()), np.eye(d * d)
     for part in parts:

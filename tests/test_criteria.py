@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from triact import criteria
 from triact.channels import two_qubit_kraus_stack
 from triact.criteria import (PAULI_KRON, TIE_TOLERANCE, classify,
                              classify_batch, correlation_matrix,
                              hashing_criterion, horodecki_m, maximize_chsh)
-from triact.harness import CHANNELS
+from triact.harness import CHANNELS, _sweep_chunk
 from triact.qcore import DensityMatrix
 from triact.states import (RngSeed, isotropic, max_entangled, random_mixed_hs,
                            random_pure_fs)
@@ -189,8 +190,20 @@ def test_classify_batch_bit_identical_on_census_chunks():
     assert_classify_batch_bit_identical(mixed(0).matrix[None])
 
 
-def test_classify_batch_bit_identical_on_sweep_states():
+def test_classify_batch_bit_identical_on_sweep_states(monkeypatch):
+    # The Kraus sums of three seed-0 states on the 1000-step grid, and
+    # the stacks the sweep's per-t superoperators give for them.
     ts = np.linspace(0.0, 1.0, 1000)
+    swept = []
+
+    def recording(mats):
+        swept.append(mats)
+        return classify_batch(mats)
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "classify_batch", recording)
+        for channel in CHANNELS:
+            _sweep_chunk(0, range(3), channel, len(ts))
     for make in CHANNELS.values():
         ops = two_qubit_kraus_stack(make, ts)
         for i in range(3):
@@ -198,6 +211,9 @@ def test_classify_batch_bit_identical_on_sweep_states():
             v = np.einsum("tkab,b->tka", ops, psi)
             assert_classify_batch_bit_identical(
                 v.transpose(0, 2, 1) @ v.conj())
+    assert len(swept) == 3 * len(CHANNELS)
+    for mats in swept:
+        assert_classify_batch_bit_identical(mats)
 
 
 def test_classify_batch_requires_stack_of_4x4():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,19 @@ def test_sweep_deterministic_across_threads(tmp_path):
             experiment="decoherence_sweep", n_states=60, n_time_steps=40,
             channel="AD", seed=4, threads=threads, output_path=str(path)))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_sweep_chunk_memory_bound():
+    # 25 depolarized states on the paper's 1000-step grid: the Kraus
+    # stack (4 MB), the per-t superoperators (4 KB per step) and one
+    # state's stacks.
+    tracemalloc.start()
+    try:
+        harness._sweep_chunk(0, range(25), "D", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_sweep_trajectory_matches_batch_sweep(tmp_path):

@@ -4,7 +4,9 @@ the Peres condition, and the decoherence sweeps against properties every
 local channel must have.  The partial transpose is computed here, not
 through `criteria`, and the sweeps evolve each state with
 `local_decohere`, not with the harness's Kraus stack; the harness's
-sweep flags are checked against its sweep of locally rotated states.
+sweep flags are checked against its sweep of locally rotated states,
+and the matrices its per-t superoperators give against the Kraus sums
+of the stack.
 The batch iso-curve is checked against the scalar `classify` and
 `horodecki_m`, and the literal measurement in `double_teleport` and the
 closed form `eq2_mixture` are each shown to run without the other's
@@ -15,8 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from triact import criteria, harness, protocols
-from triact.channels import local_decohere, make_ad, make_d, make_pd
+from triact import channels, criteria, harness, protocols
+from triact.channels import (local_decohere, make_ad, make_d, make_pd,
+                             two_qubit_kraus_stack)
 from triact.criteria import classify, classify_batch, horodecki_m
 from triact.harness import ExperimentConfig, run_iso_curve
 from triact.protocols import double_teleport, eq2_mixture
@@ -176,6 +179,44 @@ def test_sweep_flags_invariant_under_local_unitaries(monkeypatch, channel,
     clear = (np.abs(m_value - 1) >= 1e-6) & (np.abs(margin) >= 1e-6)
     assert want.any() and clear.mean() > 0.9
     np.testing.assert_array_equal(got[clear], want[clear])
+
+
+@pytest.mark.parametrize("channel", harness.CHANNELS)
+def test_sweep_superoperators_give_the_kraus_sums(monkeypatch, channel):
+    """Each stack `_sweep_chunk` hands `classify_batch` is
+    sum_k (E_k psi)(E_k psi)^dag over the `two_qubit_kraus_stack`
+    operators of its drawn state, on the paper's 1000-step grid, and its
+    flags are those of the Kraus sums except within 1e-6 of the CHSH or
+    hashing boundary.  The sweep calls neither `local_decohere` nor
+    `classify`."""
+    ts = np.linspace(0.0, 1.0, 1000)
+    stacks = []
+
+    def recording(mats):
+        stacks.append(mats)
+        return classify_batch(mats)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the sweep must not call this")
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "classify_batch", recording)
+        m.setattr(channels, "local_decohere", disabled)
+        m.setattr(criteria, "classify", disabled)
+        got = harness._sweep_chunk(0, range(10), channel, len(ts))
+    ops = two_qubit_kraus_stack(harness.CHANNELS[channel], ts)
+    assert len(stacks) == 10
+    for i, mats in enumerate(stacks):
+        psi = random_pure_fs(4, RngSeed(0, i), dims=(2, 2)).amplitudes
+        v = ops @ psi
+        want = np.einsum("tka,tkb->tab", v, v.conj())
+        np.testing.assert_allclose(mats, want, rtol=0, atol=1e-14)
+        cls = classify_batch(want)
+        margin = np.maximum(cls["s_a"], cls["s_b"]) - cls["s_ab"]
+        clear = ((np.abs(cls["m_value"] - 1) > 1e-6)
+                 & (np.abs(margin) > 1e-6))
+        np.testing.assert_array_equal(got[i][clear],
+                                      cls["nonlocal_resource"][clear])
 
 
 def test_isotropic_matrix_is_the_validated_matrix():

@@ -3,7 +3,8 @@ a str, None, NaN or out-of-range value raises ValueError (DimensionError
 where documented), never TypeError, and numpy scalars are accepted and
 stored as Python numbers.  A sequence argument given a non-sequence
 raises the same way, and a d or dims over the MAX_TOTAL_DIM cap is
-rejected before anything is built."""
+rejected before anything is built.  The per-d caches key the gated int
+and keep nothing for a d above MAX_TELEPORT_D."""
 
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from triact.channels import (make_ad, make_d, make_erasure, make_pd,
                              weyl_operators)
-from triact.harness import ExperimentConfig
+from triact.harness import ExperimentConfig, run
 from triact.protocols import (_bell_vectors, bell_state,
                               build_symmetric_extension, double_teleport,
                               eq2_mixture, erased_protocol,
@@ -151,15 +152,21 @@ OVER_CAP = {
     "random_mixed_hs": lambda: random_mixed_hs(4097, RngSeed(0)),
     "random_pure_fs": lambda: random_pure_fs(4097, RngSeed(0)),
 }
-CACHES = (_psi_plus, _isotropic_parts, weyl_operators, _bell_vectors)
+CACHES = {cache.__name__: cache for cache in (_psi_plus, _isotropic_parts,
+                                              weyl_operators, _bell_vectors)}
+
+
+def cache_sizes():
+    sizes = [cache.cache_info().currsize for cache in CACHES.values()]
+    # a full cache would keep its size through an insertion
+    assert all(size < cache.cache_info().maxsize
+               for size, cache in zip(sizes, CACHES.values()))
+    return sizes
 
 
 @pytest.mark.parametrize("build", OVER_CAP.values(), ids=OVER_CAP)
 def test_over_cap_builder_raises_before_allocating(build):
-    sizes = [cache.cache_info().currsize for cache in CACHES]
-    # a full cache would keep its size through an insertion
-    assert all(size < cache.cache_info().maxsize
-               for size, cache in zip(sizes, CACHES))
+    sizes = cache_sizes()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="must be in"):
@@ -168,7 +175,54 @@ def test_over_cap_builder_raises_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert [cache.cache_info().currsize for cache in CACHES] == sizes
+    assert cache_sizes() == sizes
+
+
+# The builders at a d above MAX_TELEPORT_D: built for the call only.
+LARGE_D = {
+    "max_entangled": lambda: max_entangled(32),
+    "isotropic": lambda: isotropic(0.5, 32),
+    "weyl_operators": lambda: weyl_operators(32),
+    "bell_state": lambda: bell_state(32, 0),
+}
+
+
+@pytest.mark.parametrize("build", LARGE_D.values(), ids=LARGE_D)
+def test_large_d_builder_keeps_nothing(build):
+    sizes = cache_sizes()
+    tracemalloc.start()
+    try:
+        build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert cache_sizes() == sizes
+
+
+@pytest.mark.parametrize("cache", CACHES.values(), ids=CACHES)
+def test_numpy_int_d_shares_the_cache_entry(cache):
+    first = cache(2)
+    size = cache.cache_info().currsize
+    assert cache(np.int64(2)) is first
+    assert cache.cache_info().currsize == size
+
+
+def test_protocol_runs_read_d2_and_d3_from_the_caches():
+    # verify runs double_teleport at d = 2 and 3, the iso-curve at d = 2;
+    # once warm, a second run builds nothing.
+    configs = [ExperimentConfig("protocol_verify"),
+               ExperimentConfig("iso_curve")]
+    for cfg in configs:
+        run(cfg)
+    infos = [cache.cache_info() for cache in CACHES.values()]
+    for cfg in configs:
+        run(cfg)
+    after = [cache.cache_info() for cache in CACHES.values()]
+    assert [i.misses for i in after] == [i.misses for i in infos]
+    # weyl_operators is read only while the Bell vectors are built
+    assert all(a.hits > i.hits for a, i, name in zip(after, infos, CACHES)
+               if name != "weyl_operators")
 
 
 def test_gate_errors_name_the_argument():
