@@ -28,6 +28,8 @@ experiments=(
     "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"
     "verify verify --out verify.json"
     "verify_k verify --seed 3 --k 7.5 --p 0.35 --out verify_k.json"
+    "verify_p1 verify --p 1 --out verify_p1.json"
+    "verify_p0 verify --p 0 --out verify_p0.json"
     "iso_csv iso-curve --out iso.csv"
     "iso_json iso-curve --format json --out iso.json"
     "extension extension --k 4"

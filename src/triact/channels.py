@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import PAULI
-from .qcore import (DensityMatrix, PureState, ValidationError, _checked,
-                    _per_d, apply_to_legs)
+from .qcore import (MAX_PAIR_D, DensityMatrix, PureState, ValidationError,
+                    _checked, apply_to_legs)
 
 COMPLETENESS_TOL = 1e-10
 
@@ -95,18 +95,19 @@ def make_erasure(k: float) -> KrausChannel:
     return KrausChannel(ops)
 
 
-@_per_d(1)
-def weyl_operators(d: int) -> tuple:
-    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b);
-    read-only (see ``qcore._per_d``)."""
+def _weyl(d: int, k: int) -> np.ndarray:
+    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
+    a, b = divmod(k, d)
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     z = np.diag(omega ** np.arange(d))
-    ws = tuple(np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-               for a in range(d) for b in range(d))
-    for w in ws:
-        w.flags.writeable = False
-    return ws
+    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+
+
+def weyl_operators(d: int) -> tuple:
+    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
+    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
+    return tuple(_weyl(d, k) for k in range(d * d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, partial_trace, von_neumann_entropy
+from .qcore import (ENTROPY_CUTOFF, DensityMatrix, partial_trace,
+                    von_neumann_entropy)
 
 # Boundary cases (M = 1, entropy ties) classify negative.
 TIE_TOLERANCE = 1e-9
@@ -137,7 +138,7 @@ def classify_batch(mats: np.ndarray):
     def entropy(stack):
         ev = np.linalg.eigvalsh(stack)
         ev = np.clip(ev, 0.0, None)
-        safe = np.where(ev > 1e-14, ev, 1.0)
+        safe = np.where(ev > ENTROPY_CUTOFF, ev, 1.0)
         return -np.sum(ev * np.log2(safe), axis=-1)
 
     t = mats.reshape(n, 2, 2, 2, 2)

@@ -33,9 +33,6 @@ CHANNELS = {
 
 CHUNK_SIZE = 4096  # states per census or sweep chunk, one worker task
 
-CENSUS_FIELDS = ("state_index", "m_value", "chsh_max", "s_a", "s_b", "s_ab",
-                 "violates_chsh", "hashing_distillable", "nonlocal_resource")
-
 
 class HarnessIOError(OSError):
     """Output could not be written; the target was left as it was."""
@@ -214,8 +211,7 @@ def run_census(cfg: ExperimentConfig):
                          cfg, cfg.n_states)
     n = cfg.n_states
     cols = {"state_index": np.arange(n),
-            **{f: np.concatenate([p[f] for p in parts])
-               for f in CENSUS_FIELDS[1:]}}
+            **{f: np.concatenate([p[f] for p in parts]) for f in parts[0]}}
     no_viol = int(np.sum(~cols["violates_chsh"]))
     nlr = int(np.sum(cols["nonlocal_resource"]))
 

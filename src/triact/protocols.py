@@ -14,18 +14,21 @@ single-copy locality against k measurements on B.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, weyl_operators
+from .channels import COMPLETENESS_TOL, _weyl
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (MAX_PAIR_D, MAX_TELEPORT_D, PSD_TOL, ZERO_PROB,
-                    DensityMatrix, DimensionError, PureState, _checked, _items,
-                    _kron, _per_d, partial_trace, project_and_condition,
+from .qcore import (MAX_PAIR_D, ZERO_PROB, DensityMatrix, DimensionError,
+                    PureState, _checked, _conditioned, _items, _kron,
+                    _require_psd, partial_trace, project_and_condition,
                     require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
+# Largest local dimension the teleportation protocols check and support.
+MAX_TELEPORT_D = 3
 # Largest copy count for the extension (2 * 3^k).
 MAX_EXTENSION_K = 4
 # From this k on, the erased protocol's success branch (probability
@@ -40,28 +43,37 @@ class ProtocolOutcome:
     outcome_labels: tuple
 
 
-@_per_d(2)
-def _bell_vectors(d: int) -> np.ndarray:
-    """The d^2 Bell vectors as conjugated d x d amplitude arrays, the bras
-    ``double_teleport`` contracts, read-only (see ``qcore._per_d``).
-
-    [0, k] is conj(psi W_k^T), the Weyl on the second subsystem, and
-    [1, k] is conj(W_k psi), the Weyl on the first; psi is |Psi_+^d> as
-    a d x d array.
-    """
-    ws = weyl_operators(d)
+def _bell_amplitudes(d: int, k: int) -> tuple:
+    """psi W_k^T and W_k psi: the Bell vectors with W_k on the second and
+    on the first subsystem, psi being |Psi_+^d> as a d x d array."""
     psi = _psi_plus(d).reshape(d, d)
-    bras = np.stack([[(psi @ w.T).conj() for w in ws],
-                     [(w @ psi).conj() for w in ws]])
+    w = _weyl(d, k)
+    return psi @ w.T, w @ psi
+
+
+def _bell_vectors(d: int) -> np.ndarray:
+    """The conjugated ``_bell_amplitudes`` of every k, one read-only
+    (2, d^2, d, d) stack: the bras the protocols contract.  The one per-d
+    cache, keyed on d gated to a Python int in [2, MAX_TELEPORT_D]."""
+    return _bell_stack(_checked(d, "d", 2, MAX_TELEPORT_D, integer=True))
+
+
+@functools.cache
+def _bell_stack(d: int) -> np.ndarray:
+    bras = np.stack([_bell_amplitudes(d, k) for k in range(d * d)], axis=1)
+    bras = bras.conj()
     bras.flags.writeable = False
     return bras
+
+
+_bell_vectors.cache_info = _bell_stack.cache_info
 
 
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
     d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
     index = _checked(index, "Bell index", 0, d * d, integer=True, hi_open=True)
-    return PureState((d, d), _bell_vectors(d)[0, index].conj().reshape(-1))
+    return PureState((d, d), _bell_amplitudes(d, index)[0].reshape(-1))
 
 
 def _swap(rho, proj, d_outer: int, d_bob: int):
@@ -75,11 +87,7 @@ def _swap(rho, proj, d_outer: int, d_bob: int):
     pair = rho.reshape(d_outer, d_bob, d_outer, d_bob)
     proj = proj.reshape(d_bob, d_bob, d_bob, d_bob)
     ac = np.einsum("xyij,aibx,cjdy->acbd", proj, pair, pair)
-    ac = ac.reshape(d_outer**2, d_outer**2)
-    prob = float(np.trace(ac).real)
-    if prob < ZERO_PROB:
-        return 0.0, None
-    return prob, DensityMatrix.cleaned(ac / prob, (d_outer, d_outer))
+    return _conditioned(ac.reshape(d_outer**2, d_outer**2), (d_outer, d_outer))
 
 
 def _teleport_d(phi: PureState, d) -> int:
@@ -159,8 +167,7 @@ def _check_povm(ops, d: int):
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("POVM elements must be d x d matrices")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
-            raise ValueError("POVM elements must be PSD")
+        _require_psd(m)
         total += m
     if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
         raise ValueError("POVM elements must sum to the identity")

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce, wraps
+from dataclasses import dataclass
+from functools import reduce
 from typing import Collection, Sequence
 
 import numpy as np
@@ -27,15 +27,14 @@ NORM_TOL = 1e-12
 # Outcome probability below which a conditioned state is None (the
 # zero-probability marker).
 ZERO_PROB = 1e-12
+# Eigenvalues at or below this add nothing to an entropy (0 log 0 := 0).
+ENTROPY_CUTOFF = 1e-14
 
 # Largest total Hilbert-space dimension of a PureState, DensityMatrix or
 # tensor product; the builders bound their d by it before allocating.
 MAX_TOTAL_DIM = 4096
 # Largest d of a (d, d) pair, derived from the cap: 64.
 MAX_PAIR_D = math.isqrt(MAX_TOTAL_DIM)
-# Largest local dimension of the teleportation protocols (the dimensions
-# their checks cover), and of the per-d arrays kept between calls.
-MAX_TELEPORT_D = 3
 
 
 class DimensionError(ValueError):
@@ -99,23 +98,12 @@ def _items(value, name: str, length: int | None = None, *,
     return tuple(value)
 
 
-def _per_d(lo: int):
-    """Decorator for a builder of read-only per-d arrays: d is gated to an
-    integer in [lo, MAX_PAIR_D], and the result is built once and shared,
-    keyed on the Python int, for d <= MAX_TELEPORT_D, the dims the
-    protocol kernels read on every call.  Larger d is built on each call
-    and kept nowhere."""
-    def wrap(build):
-        # room for every d <= MAX_TELEPORT_D: nothing is ever evicted
-        cached = lru_cache(maxsize=MAX_TELEPORT_D)(build)
-
-        @wraps(build)
-        def get(d):
-            d = _checked(d, "d", lo, MAX_PAIR_D, integer=True)
-            return (cached if d <= MAX_TELEPORT_D else build)(d)
-        get.cache_info = cached.cache_info
-        return get
-    return wrap
+def _require_psd(m: np.ndarray) -> None:
+    """The one PSD gate: the Hermitian ``m`` may have no eigenvalue below
+    -PSD_TOL, else ValidationError."""
+    lo = float(np.linalg.eigvalsh(m)[0])
+    if not lo >= -PSD_TOL:
+        raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
 
 
 def _checked_dims(dims) -> tuple:
@@ -172,9 +160,7 @@ class DensityMatrix:
         tr = complex(m.trace())
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace is {tr}, expected 1")
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if not lo >= -PSD_TOL:
-            raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
+        _require_psd(m)
         object.__setattr__(self, "matrix", m)
         m.flags.writeable = False
 
@@ -230,7 +216,7 @@ def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), in bits; 0 log 0 := 0."""
     w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > 1e-14]
+    w = w[w > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 
 
@@ -288,10 +274,17 @@ def project_and_condition(rho: DensityMatrix, proj, subsystems: Sequence[int]):
     if np.max(np.abs(p @ p - p)) > HERMITICITY_TOL:
         raise ValidationError("projector is not idempotent")
     out, _ = apply_to_legs([p], rho.matrix, rho.dims, subsystems)
+    return _conditioned(out, rho.dims)
+
+
+def _conditioned(out: np.ndarray, dims: Sequence[int]):
+    """``(probability, state)`` from the unnormalized projected matrix
+    ``out`` over ``dims``: its trace, and ``out`` renormalized by it, or
+    ``(0.0, None)`` when the trace is below ``ZERO_PROB``."""
     prob = float(np.trace(out).real)
     if prob < ZERO_PROB:
         return 0.0, None
-    return prob, DensityMatrix.cleaned(out / prob, rho.dims)
+    return prob, DensityMatrix.cleaned(out / prob, dims)
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (MAX_TOTAL_DIM, DensityMatrix, PureState, _checked, _kron,
-                    _per_d)
+from .qcore import (MAX_PAIR_D, MAX_TOTAL_DIM, DensityMatrix, PureState,
+                    _checked, _kron)
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,17 @@ def _philox_key_type():
     return PhiloxKey
 
 
-@_per_d(2)
 def _psi_plus(d: int) -> np.ndarray:
-    """The d^2 amplitudes of |Psi_+^d>, read-only (see ``qcore._per_d``)."""
+    """The d^2 amplitudes of |Psi_+^d>, d an integer in [2, MAX_PAIR_D]."""
+    d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
-    amps.flags.writeable = False
     return amps
 
 
 def max_entangled(d: int) -> PureState:
     """|Psi_+^d> = sum_i |ii> / sqrt(d)."""
     return PureState((d, d), _psi_plus(d))
-
-
-@_per_d(2)
-def _isotropic_parts(d: int) -> tuple:
-    """|Psi_+^d><Psi_+^d| and the d^2 x d^2 identity, read-only (see
-    ``qcore._per_d``)."""
-    psi = _psi_plus(d)
-    parts = np.outer(psi, psi.conj()), np.eye(d * d)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
 
 
 def isotropic(p: float, d: int = 2) -> DensityMatrix:
@@ -102,10 +90,13 @@ def isotropic(p: float, d: int = 2) -> DensityMatrix:
 def _isotropic_matrix(p: float, d: int) -> np.ndarray:
     """The matrix of ``isotropic(p, d)``, for kernels that need no
     validated container."""
-    p = _checked(p, "p", 0, 1)
-    proj, eye = _isotropic_parts(d)
-    mat = p * proj
-    mat += (1 - p) * eye / d**2
+    p = _checked(p, "p", 0, 1) + 0.0  # p = -0.0 leaves no negative zero
+    d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
+    # p |Psi_+><Psi_+| is p (1/sqrt d)^2 on the |ii> rows and columns
+    amp = 1 / np.sqrt(d)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat[:: d + 1, :: d + 1] = p * (amp * amp)
+    mat.reshape(-1)[:: d * d + 1] += (1 - p) / d**2
     return mat
 
 

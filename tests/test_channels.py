@@ -328,13 +328,3 @@ def test_weyl_operators_are_unitary_and_distinct():
             np.testing.assert_allclose(w @ w.conj().T, np.eye(d), atol=1e-12)
         gram = [[abs(np.trace(a.conj().T @ b)) for b in ws] for a in ws]
         np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
-
-
-def test_weyl_operators_cached_read_only():
-    first = weyl_operators(3)
-    with pytest.raises(ValueError):
-        first[1][0, 0] = 0
-    again = weyl_operators(3)
-    assert len(again) == 9
-    for a, b in zip(first, again):
-        np.testing.assert_array_equal(a, b)

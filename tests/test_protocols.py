@@ -12,9 +12,9 @@ from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, ProtocolOutcome,
                               teleport_distribution,
                               verify_locality_observation, _bell_vectors,
                               _erased_pair_state)
-from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          fidelity_pure, partial_trace, project_and_condition,
-                          tensor)
+from triact.qcore import (PSD_TOL, DensityMatrix, DimensionError, PureState,
+                          ValidationError, fidelity_pure, partial_trace,
+                          project_and_condition, tensor)
 from triact.states import erased, isotropic, max_entangled
 
 
@@ -196,6 +196,19 @@ def test_teleport_distribution_rejects_bad_povm():
     with pytest.raises(ValueError):
         teleport_distribution(max_entangled(2), 0.5, 2,
                               [np.eye(2), np.eye(2)], bloch_povm([0, 0, 1]))
+
+
+@pytest.mark.parametrize("scale, rejected", [(10, True), (0.1, False)])
+def test_teleport_distribution_povm_psd_gate_is_psd_tol(scale, rejected):
+    # both elements have lowest eigenvalue -scale * PSD_TOL and sum to I
+    e = scale * PSD_TOL
+    povm = [np.diag([1 + e, -e]), np.diag([-e, 1 + e])]
+    args = (max_entangled(2), 0.5, 2, povm, bloch_povm([0, 0, 1]))
+    if rejected:
+        with pytest.raises(ValidationError, match="not PSD"):
+            teleport_distribution(*args)
+    else:
+        teleport_distribution(*args)
 
 
 def chsh_of_tables(tables):

@@ -3,8 +3,9 @@ a str, None, NaN or out-of-range value raises ValueError (DimensionError
 where documented), never TypeError, and numpy scalars are accepted and
 stored as Python numbers.  A sequence argument given a non-sequence
 raises the same way, and a d or dims over the MAX_TOTAL_DIM cap is
-rejected before anything is built.  The per-d caches key the gated int
-and keep nothing for a d above MAX_TELEPORT_D."""
+rejected before anything is built.  The one per-d cache, the protocols'
+Bell bras, is shared by a numpy int d, and the builders keep nothing
+between calls."""
 
 import math
 import tracemalloc
@@ -23,9 +24,8 @@ from triact.protocols import (_bell_vectors, bell_state,
                               teleport_distribution)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
                           partial_trace, project_and_condition)
-from triact.states import (RngSeed, _isotropic_parts, _psi_plus, erased,
-                           isotropic, max_entangled, random_mixed_hs,
-                           random_pure_fs)
+from triact.states import (RngSeed, erased, isotropic, max_entangled,
+                           random_mixed_hs, random_pure_fs)
 
 NAN = float("nan")
 PHI = max_entangled(2)
@@ -152,16 +152,11 @@ OVER_CAP = {
     "random_mixed_hs": lambda: random_mixed_hs(4097, RngSeed(0)),
     "random_pure_fs": lambda: random_pure_fs(4097, RngSeed(0)),
 }
-CACHES = {cache.__name__: cache for cache in (_psi_plus, _isotropic_parts,
-                                              weyl_operators, _bell_vectors)}
+CACHES = {cache.__name__: cache for cache in (_bell_vectors,)}
 
 
 def cache_sizes():
-    sizes = [cache.cache_info().currsize for cache in CACHES.values()]
-    # a full cache would keep its size through an insertion
-    assert all(size < cache.cache_info().maxsize
-               for size, cache in zip(sizes, CACHES.values()))
-    return sizes
+    return [cache.cache_info().currsize for cache in CACHES.values()]
 
 
 @pytest.mark.parametrize("build", OVER_CAP.values(), ids=OVER_CAP)
@@ -178,7 +173,7 @@ def test_over_cap_builder_raises_before_allocating(build):
     assert cache_sizes() == sizes
 
 
-# The builders at a d above MAX_TELEPORT_D: built for the call only.
+# The builders at a large d: built for the call only.
 LARGE_D = {
     "max_entangled": lambda: max_entangled(32),
     "isotropic": lambda: isotropic(0.5, 32),
@@ -198,6 +193,17 @@ def test_large_d_builder_keeps_nothing(build):
         tracemalloc.stop()
     assert held < 2**20
     assert cache_sizes() == sizes
+
+
+def test_bell_state_builds_only_its_vector():
+    # the (2, d^2, d, d) stack of every Bell bra would be 2 GiB at d = 64
+    tracemalloc.start()
+    try:
+        bell_state(64, 4095)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("cache", CACHES.values(), ids=CACHES)
@@ -220,9 +226,7 @@ def test_protocol_runs_read_d2_and_d3_from_the_caches():
         run(cfg)
     after = [cache.cache_info() for cache in CACHES.values()]
     assert [i.misses for i in after] == [i.misses for i in infos]
-    # weyl_operators is read only while the Bell vectors are built
-    assert all(a.hits > i.hits for a, i, name in zip(after, infos, CACHES)
-               if name != "weyl_operators")
+    assert all(a.hits > i.hits for a, i in zip(after, infos))
 
 
 def test_gate_errors_name_the_argument():

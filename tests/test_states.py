@@ -55,15 +55,6 @@ def test_isotropic_literal_matrix():
     np.testing.assert_allclose(isotropic(p, 2).matrix, lit, atol=1e-14)
 
 
-def test_isotropic_parts_cached_read_only():
-    for d in (2, 3):
-        parts = states._isotropic_parts(d)
-        assert parts is states._isotropic_parts(d)
-        for part in parts:
-            with pytest.raises(ValueError):
-                part[0, 0] = 0.5
-
-
 def test_isotropic_matrix_equals_literal_formula():
     # p |Psi_+><Psi_+| + (1 - p) I / d^2 from a test-local |Psi_+>, in
     # the same operation order; the result is a fresh array.
@@ -76,6 +67,13 @@ def test_isotropic_matrix_equals_literal_formula():
             got = states._isotropic_matrix(p, d)
             assert got.tobytes() == want.tobytes(), (d, p)
             assert got.flags.writeable
+
+
+def test_isotropic_matrix_of_negative_zero_p_is_that_of_zero():
+    # p = -0.0 passes the range gate; it must leave no negative zero
+    for d in (2, 3):
+        assert (states._isotropic_matrix(-0.0, d).tobytes()
+                == states._isotropic_matrix(0.0, d).tobytes())
 
 
 def test_isotropic_spectrum():
