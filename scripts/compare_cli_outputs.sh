@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run the CLI experiments from two source trees and cmp every output file
-# and every stdout, exit code included.
+# and every stdout, exit code included, and the protocol digest lines of
+# scripts/protocol_digest.py (outcomes the CLI never requests).
 #
 # Usage: scripts/compare_cli_outputs.sh BASE_DIR [HEAD_DIR]
 #
@@ -44,6 +45,9 @@ for side in base head; do
         (cd "$work/$side" && { PYTHONPATH="$src" python -m triact.cli $args \
             && echo "exit 0" || echo "exit $?"; } > "$name.stdout")
     done
+    # HEAD_DIR's digest script (public API only) against each side's src/
+    PYTHONPATH="$src" python "$head/scripts/protocol_digest.py" \
+        > "$work/$side/protocol_digest.stdout"
 done
 
 status=0

@@ -81,16 +81,15 @@ class ExperimentConfig:
                               hi_open=True)
 
 
+# The %-format of a CSV cell by dtype kind; any other kind is "%s".
+_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
+
+
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
+    """One CSV cell: empty for None, else ``x`` in its dtype's format."""
     if x is None:
         return ""
-    if isinstance(x, str):
-        return x
-    return f"{x:.12g}"
+    return _CSV_FORMATS.get(np.asarray(x).dtype.kind, "%s") % x
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -142,10 +141,6 @@ def _json_text(cols: dict, summary: dict) -> str:
     # json.dumps writes the summary, less the opening brace and newline.
     tail = json.dumps({"summary": summary}, indent=1)[2:]
     return f'{{\n "records": {head},\n{tail}\n'
-
-
-# The %-format of a CSV cell by column dtype kind, giving ``_fmt``'s text.
-_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.12g"}
 
 
 def _csv_text(cols: dict, summary: dict) -> str:

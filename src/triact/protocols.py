@@ -14,17 +14,16 @@ single-copy locality against k measurements on B.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import COMPLETENESS_TOL, _weyl
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (MAX_PAIR_D, ZERO_PROB, DensityMatrix, DimensionError,
-                    PureState, _checked, _conditioned, _items, _kron,
-                    _require_psd, partial_trace, project_and_condition,
-                    require_hermitian, tensor)
+from .qcore import (LOCAL_WEIGHT_CUTOFF, MAX_PAIR_D, ZERO_PROB,
+                    DensityMatrix, DimensionError, PureState, _checked,
+                    _conditioned, _items, _kron, _require_psd, partial_trace,
+                    project_and_condition, require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension the teleportation protocols check and support.
@@ -43,37 +42,29 @@ class ProtocolOutcome:
     outcome_labels: tuple
 
 
-def _bell_amplitudes(d: int, k: int) -> tuple:
-    """psi W_k^T and W_k psi: the Bell vectors with W_k on the second and
-    on the first subsystem, psi being |Psi_+^d> as a d x d array."""
-    psi = _psi_plus(d).reshape(d, d)
-    w = _weyl(d, k)
-    return psi @ w.T, w @ psi
+def _bell_amplitudes(d: int, k: int) -> np.ndarray:
+    """psi W_k^T: the Bell vector with W_k on the second subsystem, psi
+    being |Psi_+^d> as a d x d array."""
+    return _psi_plus(d).reshape(d, d) @ _weyl(d, k).T
 
 
-def _bell_vectors(d: int) -> np.ndarray:
-    """The conjugated ``_bell_amplitudes`` of every k, one read-only
-    (2, d^2, d, d) stack: the bras the protocols contract.  The one per-d
-    cache, keyed on d gated to a Python int in [2, MAX_TELEPORT_D]."""
-    return _bell_stack(_checked(d, "d", 2, MAX_TELEPORT_D, integer=True))
-
-
-@functools.cache
-def _bell_stack(d: int) -> np.ndarray:
-    bras = np.stack([_bell_amplitudes(d, k) for k in range(d * d)], axis=1)
-    bras = bras.conj()
+def _bell_bras(d: int) -> np.ndarray:
+    bras = np.stack([_bell_amplitudes(d, k) for k in range(d * d)]).conj()
     bras.flags.writeable = False
     return bras
 
 
-_bell_vectors.cache_info = _bell_stack.cache_info
+# The conjugated ``_bell_amplitudes`` of every k, one read-only
+# (d^2, d, d) stack per d in [2, MAX_TELEPORT_D]: the bras the protocols
+# contract, built once at import.
+_BELL_BRAS = {d: _bell_bras(d) for d in range(2, MAX_TELEPORT_D + 1)}
 
 
 def bell_state(d: int, index: int) -> PureState:
     """Generalized Bell state (I (x) X^a Z^b)|Psi_+^d>, index = a*d + b."""
     d = _checked(d, "d", 2, MAX_PAIR_D, integer=True)
     index = _checked(index, "Bell index", 0, d * d, integer=True, hi_open=True)
-    return PureState((d, d), _bell_amplitudes(d, index)[0].reshape(-1))
+    return PureState((d, d), _bell_amplitudes(d, index).reshape(-1))
 
 
 def _swap(rho, proj, d_outer: int, d_bob: int):
@@ -120,13 +111,13 @@ def double_teleport(phi: PureState, p: float, d: int,
     iso = _isotropic_matrix(p, d)
     # The Bell basis carries the Weyl on the prepared-state slot of each
     # pair: F1 is the second subsystem of (B1, F1), F2 the first of
-    # (F2, B2).  w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2} |phi>_{F1 F2}: Bob's
-    # projection leaves B1 B2 in w, which the isotropic pairs carry to A
-    # and C; iso is symmetric under a party swap, so it serves as (A, B1)
-    # and (C, B2).
-    bras = _bell_vectors(d)
-    w = (bras[0, out1] @ phi.amplitudes.reshape(d, d)
-         @ bras[1, out2]).reshape(-1)
+    # (F2, B2), whose bra is the table's row transposed, since
+    # W psi = (psi W^T)^T.  w[b1, b2] = <v1|_{B1 F1} <v2|_{F2 B2}
+    # |phi>_{F1 F2}: Bob's projection leaves B1 B2 in w, which the
+    # isotropic pairs carry to A and C; iso is symmetric under a party
+    # swap, so it serves as (A, B1) and (C, B2).
+    bras = _BELL_BRAS[d]
+    w = (bras[out1] @ phi.amplitudes.reshape(d, d) @ bras[out2].T).reshape(-1)
     return ProtocolOutcome(*_swap(iso, np.outer(w.conj(), w), d, d),
                            (out1, out2))
 
@@ -197,7 +188,7 @@ def teleport_distribution(phi: PureState, p: float, d: int, alice_povm,
     joint = _joint_table(rho_f.matrix, alice, charlie)
     rho_phi, local = _eq2_terms(phi, p, d)
     p_phi = _joint_table(rho_phi, alice, charlie)
-    if 1 - p**2 > 1e-15:
+    if 1 - p**2 > LOCAL_WEIGHT_CUTOFF:
         loc_mat = local / (1 - p**2)
     else:
         loc_mat = np.eye(d * d) / d**2
@@ -240,7 +231,7 @@ def erased_protocol(k: float, bell_outcome: int = 0,
         # The Bell projector on the qubit levels of (B1, B2) lies inside
         # M_B^0 (x) M_B^0, so it covers both measurement steps at once.
         v = np.zeros((3, 3), dtype=complex)
-        v[:2, :2] = _bell_vectors(2)[0, bell_outcome].conj()
+        v[:2, :2] = _BELL_BRAS[2][bell_outcome].conj()
         proj = np.outer(v, v.conj())
         labels = b_outcomes + (bell_outcome,)
     else:

@@ -29,6 +29,11 @@ NORM_TOL = 1e-12
 ZERO_PROB = 1e-12
 # Eigenvalues at or below this add nothing to an entropy (0 log 0 := 0).
 ENTROPY_CUTOFF = 1e-14
+# A pure-state fidelity is accepted in [-FIDELITY_TOL, 1 + FIDELITY_TOL].
+FIDELITY_TOL = 1e-10
+# A teleported state's local weight 1 - p^2 at or below this leaves no
+# local part to normalize: teleport_distribution takes it maximally mixed.
+LOCAL_WEIGHT_CUTOFF = 1e-15
 
 # Largest total Hilbert-space dimension of a PureState, DensityMatrix or
 # tensor product; the builders bound their d by it before allocating.
@@ -292,6 +297,6 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     if rho.dims != psi.dims:
         raise DimensionError(f"dims mismatch: {rho.dims} vs {psi.dims}")
     val = float(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes).real)
-    if not -1e-10 <= val <= 1 + 1e-10:
+    if not -FIDELITY_TOL <= val <= 1 + FIDELITY_TOL:
         raise ValidationError(f"fidelity {val} outside [0, 1]")
     return val

@@ -251,7 +251,7 @@ def test_iso_curve_equals_the_scalar_path(monkeypatch):
 
 def test_teleport_kernel_and_eq2_closed_form_share_no_code(monkeypatch):
     """`eq2_mixture` runs with the teleport kernel's contraction and Bell
-    vectors disabled, and `double_teleport` with the closed form
+    bra table disabled, and `double_teleport` with the closed form
     disabled; each gives the same bits as with nothing disabled."""
     rng = np.random.default_rng(8)
     cases = []
@@ -267,9 +267,12 @@ def test_teleport_kernel_and_eq2_closed_form_share_no_code(monkeypatch):
     def disabled(*args, **kwargs):
         raise AssertionError("an oracle reached into the code it checks")
 
+    class Disabled(dict):
+        __getitem__ = disabled
+
     with monkeypatch.context() as m:
         m.setattr(protocols, "_swap", disabled)
-        m.setattr(protocols, "_bell_vectors", disabled)
+        m.setattr(protocols, "_BELL_BRAS", Disabled())
         for phi, p, d, eq2, _ in cases:
             assert eq2_mixture(phi, p, d).matrix.tobytes() == eq2
         with pytest.raises(AssertionError):

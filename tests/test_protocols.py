@@ -6,15 +6,17 @@ import pytest
 
 from triact.channels import weyl_operators
 from triact.criteria import horodecki_m
-from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, ProtocolOutcome,
-                              bell_state, build_symmetric_extension,
-                              double_teleport, eq2_mixture, erased_protocol,
+from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, MAX_TELEPORT_D,
+                              ProtocolOutcome, bell_state,
+                              build_symmetric_extension, double_teleport,
+                              eq2_mixture, erased_protocol,
                               teleport_distribution,
-                              verify_locality_observation, _bell_vectors,
+                              verify_locality_observation, _BELL_BRAS,
                               _erased_pair_state)
-from triact.qcore import (PSD_TOL, DensityMatrix, DimensionError, PureState,
-                          ValidationError, fidelity_pure, partial_trace,
-                          project_and_condition, tensor)
+from triact.qcore import (LOCAL_WEIGHT_CUTOFF, PSD_TOL, DensityMatrix,
+                          DimensionError, PureState, ValidationError,
+                          fidelity_pure, partial_trace, project_and_condition,
+                          tensor)
 from triact.states import erased, isotropic, max_entangled
 
 
@@ -30,18 +32,18 @@ def test_bell_state_basis_is_orthonormal():
         np.testing.assert_allclose(gram, np.eye(d * d), atol=1e-12)
 
 
-def test_bell_vectors_cached_read_only():
-    for d in (2, 3):
-        bras = _bell_vectors(d)
-        assert bras is _bell_vectors(d)
-        assert bras.shape == (2, d * d, d, d)
+def test_bell_bra_table_read_only():
+    assert list(_BELL_BRAS) == list(range(2, MAX_TELEPORT_D + 1))
+    for d, bras in _BELL_BRAS.items():
+        assert bras.shape == (d * d, d, d)
         with pytest.raises(ValueError):
-            bras[0, 0, 0, 0] = 1.0
+            bras[0, 0, 0] = 1.0
 
 
 def test_bell_state_equals_literal_formula():
     # (I (x) W_k)|Psi_+> as the d x d amplitude array psi W_k^T, from a
-    # test-local |Psi_+>, and the bras double_teleport contracts.
+    # test-local |Psi_+>, and the bras double_teleport contracts: the
+    # table row, and W_k psi read as its transpose.
     for d in (2, 3):
         psi = np.zeros((d, d), dtype=complex)
         psi[range(d), range(d)] = 1 / np.sqrt(d)
@@ -49,9 +51,8 @@ def test_bell_state_equals_literal_formula():
             want = psi @ w.T
             got = bell_state(d, k).amplitudes
             assert got.tobytes() == want.reshape(-1).tobytes()
-            assert _bell_vectors(d)[0, k].tobytes() == want.conj().tobytes()
-            assert (_bell_vectors(d)[1, k].tobytes()
-                    == (w @ psi).conj().tobytes())
+            assert _BELL_BRAS[d][k].tobytes() == want.conj().tobytes()
+            assert (w @ psi).tobytes() == want.T.tobytes()
 
 
 def literal_double_teleport(phi, p, d, o1, o2):
@@ -189,6 +190,25 @@ def test_teleport_distribution_endpoints():
     np.testing.assert_allclose(dist.joint, dist.p_phi, atol=1e-12)
     dist = teleport_distribution(phi, 0.0, 2, alice, charlie)
     np.testing.assert_allclose(dist.joint, np.full((2, 2), 0.25), atol=1e-10)
+    assert dist.residual <= 1e-10
+
+
+def test_teleport_distribution_local_weight_cutoff():
+    # |00>'s local part is not uniform for a Z measurement on Alice, so
+    # only the maximally mixed branch gives the uniform table.
+    phi = PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
+    alice = bloch_povm([0, 0, 1])
+    charlie = bloch_povm([1, 0, 0])
+    p = np.nextafter(1.0, 0.0)
+    assert 0 < 1 - p**2 <= LOCAL_WEIGHT_CUTOFF
+    dist = teleport_distribution(phi, p, 2, alice, charlie)
+    np.testing.assert_allclose(dist.p_loc, np.full((2, 2), 0.25), atol=1e-15)
+    assert dist.residual <= 1e-10
+    p = 1 - 1e-13
+    assert 1 - p**2 > LOCAL_WEIGHT_CUTOFF
+    dist = teleport_distribution(phi, p, 2, alice, charlie)
+    assert abs(dist.p_loc.sum() - 1) <= 1e-12
+    assert abs(dist.p_loc[0].sum() - 0.75) <= 1e-9
     assert dist.residual <= 1e-10
 
 

@@ -3,9 +3,9 @@ a str, None, NaN or out-of-range value raises ValueError (DimensionError
 where documented), never TypeError, and numpy scalars are accepted and
 stored as Python numbers.  A sequence argument given a non-sequence
 raises the same way, and a d or dims over the MAX_TOTAL_DIM cap is
-rejected before anything is built.  The one per-d cache, the protocols'
-Bell bras, is shared by a numpy int d, and the builders keep nothing
-between calls."""
+rejected before anything is built.  The builders keep nothing between
+calls and leave the protocols' Bell bra table, built at import, as it
+was."""
 
 import math
 import tracemalloc
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triact import protocols
 from triact.channels import (make_ad, make_d, make_erasure, make_pd,
                              weyl_operators)
-from triact.harness import ExperimentConfig, run
-from triact.protocols import (_bell_vectors, bell_state,
-                              build_symmetric_extension, double_teleport,
-                              eq2_mixture, erased_protocol,
+from triact.harness import ExperimentConfig
+from triact.protocols import (bell_state, build_symmetric_extension,
+                              double_teleport, eq2_mixture, erased_protocol,
                               teleport_distribution)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
                           partial_trace, project_and_condition)
@@ -152,16 +152,17 @@ OVER_CAP = {
     "random_mixed_hs": lambda: random_mixed_hs(4097, RngSeed(0)),
     "random_pure_fs": lambda: random_pure_fs(4097, RngSeed(0)),
 }
-CACHES = {cache.__name__: cache for cache in (_bell_vectors,)}
 
 
-def cache_sizes():
-    return [cache.cache_info().currsize for cache in CACHES.values()]
+def assert_table_unchanged(table):
+    # same keys, each holding the same array object
+    assert protocols._BELL_BRAS.keys() == table.keys()
+    assert all(protocols._BELL_BRAS[d] is bras for d, bras in table.items())
 
 
 @pytest.mark.parametrize("build", OVER_CAP.values(), ids=OVER_CAP)
 def test_over_cap_builder_raises_before_allocating(build):
-    sizes = cache_sizes()
+    table = dict(protocols._BELL_BRAS)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="must be in"):
@@ -170,7 +171,7 @@ def test_over_cap_builder_raises_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert cache_sizes() == sizes
+    assert_table_unchanged(table)
 
 
 # The builders at a large d: built for the call only.
@@ -184,7 +185,7 @@ LARGE_D = {
 
 @pytest.mark.parametrize("build", LARGE_D.values(), ids=LARGE_D)
 def test_large_d_builder_keeps_nothing(build):
-    sizes = cache_sizes()
+    table = dict(protocols._BELL_BRAS)
     tracemalloc.start()
     try:
         build()
@@ -192,11 +193,11 @@ def test_large_d_builder_keeps_nothing(build):
     finally:
         tracemalloc.stop()
     assert held < 2**20
-    assert cache_sizes() == sizes
+    assert_table_unchanged(table)
 
 
 def test_bell_state_builds_only_its_vector():
-    # the (2, d^2, d, d) stack of every Bell bra would be 2 GiB at d = 64
+    # the (d^2, d, d) stack of every Bell bra would be 256 MiB at d = 64
     tracemalloc.start()
     try:
         bell_state(64, 4095)
@@ -204,29 +205,6 @@ def test_bell_state_builds_only_its_vector():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-@pytest.mark.parametrize("cache", CACHES.values(), ids=CACHES)
-def test_numpy_int_d_shares_the_cache_entry(cache):
-    first = cache(2)
-    size = cache.cache_info().currsize
-    assert cache(np.int64(2)) is first
-    assert cache.cache_info().currsize == size
-
-
-def test_protocol_runs_read_d2_and_d3_from_the_caches():
-    # verify runs double_teleport at d = 2 and 3, the iso-curve at d = 2;
-    # once warm, a second run builds nothing.
-    configs = [ExperimentConfig("protocol_verify"),
-               ExperimentConfig("iso_curve")]
-    for cfg in configs:
-        run(cfg)
-    infos = [cache.cache_info() for cache in CACHES.values()]
-    for cfg in configs:
-        run(cfg)
-    after = [cache.cache_info() for cache in CACHES.values()]
-    assert [i.misses for i in after] == [i.misses for i in infos]
-    assert all(a.hits > i.hits for a, i in zip(after, infos))
 
 
 def test_gate_errors_name_the_argument():
