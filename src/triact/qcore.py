@@ -18,6 +18,7 @@ from functools import reduce
 from typing import Collection, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Validation tolerances for state containers.
 HERMITICITY_TOL = 1e-10
@@ -103,10 +104,24 @@ def _items(value, name: str, length: int | None = None, *,
     return tuple(value)
 
 
+# The LAPACK gufunc np.linalg.eigvalsh wraps, bound once. Called with
+# its 'D->d' loop on a validated complex matrix, it gives the same
+# eigenvalues bit for bit without np.linalg's per-call set-up (about half
+# of a 4x4 eigvalsh). It skips np.linalg's errstate: the Hermiticity gate
+# has already rejected NaN and inf. Raw caller stacks (classify_batch)
+# keep np.linalg.eigvalsh and its LinAlgError.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a validated complex Hermitian ``m``."""
+    return _eigvalsh_lo(m, signature="D->d")
+
+
 def _require_psd(m: np.ndarray) -> None:
     """The one PSD gate: the Hermitian ``m`` may have no eigenvalue below
     -PSD_TOL, else ValidationError."""
-    lo = float(np.linalg.eigvalsh(m)[0])
+    lo = float(_spectrum(m)[0])
     if not lo >= -PSD_TOL:
         raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
 
@@ -220,7 +235,7 @@ def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), in bits; 0 log 0 := 0."""
-    w = np.linalg.eigvalsh(rho.matrix)
+    w = _spectrum(rho.matrix)
     w = w[w > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 

@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          ValidationError, _kron, fidelity_pure, partial_trace,
-                          project_and_condition, tensor, von_neumann_entropy)
+from triact.protocols import build_symmetric_extension
+from triact.qcore import (ENTROPY_CUTOFF, DensityMatrix, DimensionError,
+                          PureState, ValidationError, _kron, _spectrum,
+                          fidelity_pure, partial_trace, project_and_condition,
+                          tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
@@ -165,6 +168,40 @@ def test_entropy_additive_on_products(seed):
     a, b = mixed(3 * seed), mixed(3 * seed + 1)
     s = von_neumann_entropy(tensor(a, b))
     assert abs(s - von_neumann_entropy(a) - von_neumann_entropy(b)) < 1e-9
+
+
+def _gate_inputs():
+    """Random Hermitian matrices at every size the package validates, and
+    degenerate spectra: I/4, a rank-1 pure state and two rank-deficient
+    states."""
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 4, 6, 9, 18, 162):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        yield g + g.conj().T
+    yield np.eye(4, dtype=complex) / 4
+    yield max_entangled(3).density_matrix().matrix
+    yield erased(3).matrix
+    yield build_symmetric_extension(4).matrix
+
+
+def test_spectrum_is_np_linalg_eigvalsh_bit_for_bit():
+    # The PSD gate's kernel calls numpy's gufunc without np.linalg's
+    # wrapper; the eigenvalues, and so every accept/reject, must not move.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in _gate_inputs():
+            got, want = _spectrum(m), np.linalg.eigvalsh(m)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), m.shape
+
+
+def test_entropy_is_the_np_linalg_formula_bit_for_bit():
+    states = [mixed(7), mixed(8, (2, 3)), isotropic(0.5, 2), erased(3),
+              max_entangled(3).density_matrix(), build_symmetric_extension(4)]
+    for rho in states:
+        w = np.linalg.eigvalsh(rho.matrix)
+        w = w[w > ENTROPY_CUTOFF]
+        assert von_neumann_entropy(rho) == float(-np.sum(w * np.log2(w)))
 
 
 def test_condition_on_first_qubit():
