@@ -18,6 +18,7 @@ trap 'rm -rf "$work"' EXIT
 # One experiment per line: a name, then the CLI arguments.
 experiments=(
     "census census --n-states 5000 --out census.csv"
+    "census_s7 census --n-states 5000 --seed 7 --out census_s7.csv"
     "census_t2 census --n-states 5000 --threads 2 --out census_t2.csv"
     "census_json census --n-states 2000 --format json --out census.json"
     "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"

@@ -43,8 +43,16 @@ class KrausChannel:
             raise ValidationError("channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise ValidationError("Kraus operators must be matrices")
-        s = np.einsum("kji,kjl->il", ops.conj(), ops)
-        if not abs(s - np.eye(ops.shape[2])).max() <= COMPLETENESS_TOL:
+        if not ops.size:
+            raise ValidationError(
+                f"Kraus operators are zero-size: shape {ops.shape[1:]}")
+        # sum_k E_k^dag E_k as one product of the stacked operators,
+        # minus the identity on its diagonal
+        d_in = ops.shape[2]
+        flat = ops.reshape(-1, d_in)
+        s = np.dot(flat.conj().T, flat)
+        s.reshape(-1)[::d_in + 1] -= 1
+        if not abs(s).max() <= COMPLETENESS_TOL:
             raise ValidationError("completeness relation violated")
         ops.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)

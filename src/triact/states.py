@@ -17,6 +17,13 @@ from .qcore import (MAX_PAIR_D, MAX_TOTAL_DIM, DensityMatrix, PureState,
                     _checked, _kron)
 
 
+# Philox's default counter, 0, as the 4-word array Philox turns it into:
+# numpy converts a scalar counter word by word in Python, an array in one
+# astype copy, so the state is the same and the array is never written.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """A (seed, stream_index) pair that fully determines a sample stream."""
@@ -32,7 +39,8 @@ class RngSeed:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
+        return np.random.Generator(np.random.Philox(
+            _philox_key_type()(key), counter=_ZERO_COUNTER))
 
 
 @functools.cache
@@ -130,7 +138,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
     """
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
-    m = g @ g.conj().T
+    m = np.dot(g, g.conj().T)  # the zgemm of @, without matmul's set-up
     m /= m.trace().real
     return DensityMatrix(dims if dims is not None else (d_total,), m)
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
-                             make_d, make_erasure, make_pd,
-                             two_qubit_kraus_stack, weyl_operators)
+from triact.channels import (COMPLETENESS_TOL, KrausChannel, apply,
+                             local_decohere, make_ad, make_d, make_erasure,
+                             make_pd, two_qubit_kraus_stack, weyl_operators)
 from triact.criteria import PAULI, correlation_matrix
 from triact.qcore import DensityMatrix, ValidationError, fidelity_pure, \
     partial_trace
@@ -30,14 +30,47 @@ def make_depolarizing(p, d):
 
 
 def test_completeness_enforced():
-    for op in (np.eye(2) * 0.5, np.diag([np.nan, 1.0])):
-        with pytest.raises(ValidationError):
+    bad = [np.eye(2) * 0.5]
+    for x in (np.nan, np.inf):
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            op = np.eye(2, dtype=complex)
+            op[i, j] = x
+            bad.append(op)
+    for op in bad:
+        # inf reaches the product as inf * 0, which numpy may warn of
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValidationError, match="^completeness relation violated$"):
             KrausChannel((op,))
     for make in (make_ad, make_pd, lambda t: make_pd(t, verbatim=True), make_d):
         for t in T_GRID:
             ch = make(t)
             s = sum(e.conj().T @ e for e in ch.kraus_ops)
             assert np.max(np.abs(s - np.eye(2))) <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_completeness_gate_at_its_tolerance(scale):
+    # sum E^dag E off the identity by scale * COMPLETENESS_TOL, on the
+    # diagonal (E = diag(sqrt(1 + e), 1)), off it (E = I + e |0><1|),
+    # or spread over two operators
+    e = scale * COMPLETENESS_TOL
+    cases = [[np.diag([np.sqrt(1 + e), 1.0])],
+             [np.array([[1.0, e], [0.0, 1.0]])],
+             [np.sqrt(0.5) * np.eye(2),
+              np.diag([np.sqrt(0.5 + e), np.sqrt(0.5)])]]
+    for ops in cases:
+        if scale < 1:
+            KrausChannel(ops)
+            continue
+        with pytest.raises(ValidationError,
+                           match="^completeness relation violated$"):
+            KrausChannel(ops)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 0), (1, 0, 0), (1, 0, 2)])
+def test_kraus_channel_rejects_zero_size_operators(shape):
+    with pytest.raises(ValidationError, match="zero-size"):
+        KrausChannel(np.zeros(shape))
 
 
 def test_kraus_channel_rejects_ragged_operators():

@@ -1,3 +1,4 @@
+import re
 import warnings
 from functools import reduce
 
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact.protocols import build_symmetric_extension
-from triact.qcore import (ENTROPY_CUTOFF, DensityMatrix, DimensionError,
-                          PureState, ValidationError, _kron, _spectrum,
+from triact.qcore import (ENTROPY_CUTOFF, HERMITICITY_TOL, TRACE_TOL,
+                          DensityMatrix, DimensionError, PureState,
+                          ValidationError, _kron, _spectrum,
                           fidelity_pure, partial_trace, project_and_condition,
                           tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
@@ -30,12 +32,47 @@ def test_density_matrix_rejects_bad_input():
     with pytest.raises(DimensionError):
         DensityMatrix((2, 3), np.eye(4) / 4)
     # NaN compares false with every bound, so each gate must be written
-    # to fail unless its check holds.
-    for i, j in ((0, 0), (0, 1)):
-        m = np.eye(2, dtype=complex) / 2
-        m[i, j] = np.nan
-        with pytest.raises(ValidationError):
-            DensityMatrix((2,), m)
+    # to fail unless its check holds. NaN anywhere, the diagonal included,
+    # fails the Hermiticity gate first.
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        for nan in (np.nan, complex(0, np.nan)):
+            m = np.eye(2, dtype=complex) / 2
+            m[i, j] = nan
+            with pytest.raises(ValidationError, match=re.escape(
+                    "matrix is not Hermitian (deviation nan)")):
+                DensityMatrix((2,), m)
+    # A finite Hermitian matrix whose trace overflows fails the trace
+    # gate (numpy may warn of the overflow on the way).
+    with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match=re.escape("trace is (inf+0j), expected 1")):
+        DensityMatrix((2,), np.diag([1e308, 1e308]))
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("unit", [1, 1j])
+def test_hermiticity_gate_at_its_tolerance(scale, unit):
+    # m[0, 1] off its mirror by scale * HERMITICITY_TOL, real or imaginary
+    m = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    m[0, 1] += unit * scale * HERMITICITY_TOL
+    if scale < 1:
+        assert DensityMatrix((2,), m).matrix.tobytes() == m.tobytes()
+        return
+    dev = abs(m[0, 1] - m[1, 0])
+    with pytest.raises(ValidationError, match=re.escape(
+            f"matrix is not Hermitian (deviation {dev:.3e})")):
+        DensityMatrix((2,), m)
+
+
+@pytest.mark.parametrize("scale", [0.5, -0.5, 2.0, -2.0])
+def test_trace_gate_at_its_tolerance(scale):
+    m = np.diag([0.5 + scale * TRACE_TOL, 0.5]).astype(complex)
+    if abs(scale) < 1:
+        DensityMatrix((2,), m)
+        return
+    tr = complex(m[0, 0] + m[1, 1])
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(f'trace is {tr}, expected 1')}$"):
+        DensityMatrix((2,), m)
 
 
 def test_cleaned_leaves_the_psd_gate_to_the_constructor():

@@ -179,8 +179,21 @@ def test_stream_equals_philox_keyed_directly(seed, stream):
     np.testing.assert_array_equal(got["buffer"], want["buffer"])
     for key in ("buffer_pos", "has_uint32", "uinteger"):
         assert got[key] == want[key]
-    np.testing.assert_array_equal(ours.standard_normal(64),
-                                  ref.standard_normal(64))
+    assert ours.standard_normal(1000).tobytes() == \
+        ref.standard_normal(1000).tobytes()
+
+
+def test_zero_counter_is_read_only_and_stays_zero():
+    # every generator() starts Philox from this array; Philox copies it
+    counter = states._ZERO_COUNTER
+    assert counter.dtype == np.uint64 and counter.shape == (4,)
+    assert not counter.flags.writeable
+    rng = RngSeed(3, 9).generator()
+    rng.standard_normal(1000)
+    assert rng.bit_generator.state["state"]["counter"].any()
+    assert counter.tobytes() == bytes(32)
+    with pytest.raises(ValueError):
+        counter[0] = 1
 
 
 def test_philox_key_serves_only_a_philox_key_request():
@@ -210,14 +223,17 @@ def _literal_gaussian(rng, shape):
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_samplers_equal_the_literal_formulas_bit_for_bit(seed):
-    for i in range(2000):
-        stream = RngSeed(seed, i)
-        g = _literal_gaussian(stream.generator(), (4, 4))
-        got = states._complex_gaussian(stream.generator(), (4, 4))
-        assert got.tobytes() == g.tobytes()
-        m = g @ g.conj().T
-        m = m / m.trace().real
-        assert random_mixed_hs(4, stream).matrix.tobytes() == m.tobytes()
-        v = _literal_gaussian(stream.generator(), (4,))
-        v = v / np.linalg.norm(v)
-        assert random_pure_fs(4, stream).amplitudes.tobytes() == v.tobytes()
+    # 2000 streams of the census size, 200 of each other size
+    for d, n in ((4, 2000), (2, 200), (3, 200), (6, 200), (9, 200), (16, 200)):
+        for i in range(n):
+            stream = RngSeed(seed, i)
+            g = _literal_gaussian(stream.generator(), (d, d))
+            got = states._complex_gaussian(stream.generator(), (d, d))
+            assert got.tobytes() == g.tobytes()
+            m = g @ g.conj().T
+            m = m / m.trace().real
+            assert random_mixed_hs(d, stream).matrix.tobytes() == m.tobytes()
+            v = _literal_gaussian(stream.generator(), (d,))
+            v = v / np.linalg.norm(v)
+            assert random_pure_fs(d, stream).amplitudes.tobytes() == \
+                v.tobytes()
