@@ -25,6 +25,8 @@ experiments=(
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"
     "sweep_d sweep --channel d --n-states 50 --steps 300 --format json --out sweep_d.json"
+    "sweep_ad1000 sweep --channel ad --n-states 100 --steps 1000 --format json --out sweep_ad1000.json"
+    "sweep_pdv1000 sweep --channel pd-verbatim --n-states 100 --steps 1000 --format json --out sweep_pdv1000.json"
     "sweep_d1000 sweep --channel d --n-states 100 --steps 1000 --format json --out sweep_d1000.json"
     "sweep_pd1000 sweep --channel pd --n-states 100 --steps 1000 --format json --out sweep_pd1000.json"
     "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"

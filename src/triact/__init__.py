@@ -1,7 +1,7 @@
 """Numerics for nonlocality activation in tripartite quantum networks."""
 
 from .channels import (KrausChannel, apply, local_decohere, make_ad, make_d,
-                       make_erasure, make_pd, weyl_operators)
+                       make_erasure, make_pd)
 from .criteria import (Classification, classify, correlation_matrix,
                        hashing_criterion, horodecki_m, maximize_chsh)
 from .harness import ExperimentConfig, run
@@ -10,7 +10,8 @@ from .protocols import (ProtocolOutcome, bell_state,
                         eq2_mixture, erased_protocol, teleport_distribution,
                         verify_locality_observation)
 from .qcore import (DensityMatrix, PureState, fidelity_pure, partial_trace,
-                    project_and_condition, tensor, von_neumann_entropy)
+                    project_and_condition, tensor, von_neumann_entropy,
+                    weyl_operators)
 from .states import (RngSeed, erased, isotropic, max_entangled,
                      random_mixed_hs, random_pure_fs)
 

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import PAULI
-from .qcore import (MAX_PAIR_D, DensityMatrix, PureState, ValidationError,
-                    _checked, apply_to_legs)
-
-COMPLETENESS_TOL = 1e-10
+from .qcore import (COMPLETENESS_TOL, PAULI_BASIS, DensityMatrix, PureState,
+                    ValidationError, _checked, _kron, apply_to_legs)
 
 
 @dataclass(frozen=True)
@@ -39,7 +36,7 @@ class KrausChannel:
             ops = np.array(self.kraus_ops, dtype=complex)
         except ValueError as exc:
             raise ValidationError("Kraus operators disagree in shape") from exc
-        if not len(ops):
+        if ops.shape[:1] == (0,):
             raise ValidationError("channel needs at least one Kraus operator")
         if ops.ndim != 3:
             raise ValidationError("Kraus operators must be matrices")
@@ -58,10 +55,6 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
 
 
-# I, sigma_x, sigma_y, sigma_z, the operators of PD and D up to weights.
-_PAULI_BASIS = np.stack([np.eye(2, dtype=complex), *PAULI])
-
-
 def make_ad(t: float) -> KrausChannel:
     """Amplitude damping: decay |1> -> |0> with probability t."""
     t = _checked(t, "t", 0, 1)
@@ -78,9 +71,9 @@ def make_pd(t: float, verbatim: bool = False) -> KrausChannel:
     """
     t = _checked(t, "t", 0, 1)
     a, b = (t, 1 - t) if verbatim else (1 - t / 2, t / 2)
-    # _PAULI_BASIS[::3] holds I and sigma_z
+    # PAULI_BASIS[::3] holds I and sigma_z
     return KrausChannel(np.array([math.sqrt(a), math.sqrt(b)])[:, None, None]
-                        * _PAULI_BASIS[::3])
+                        * PAULI_BASIS[::3])
 
 
 def make_d(t: float) -> KrausChannel:
@@ -89,7 +82,7 @@ def make_d(t: float) -> KrausChannel:
     w = math.sqrt(t / 4)
     return KrausChannel(
         np.array([math.sqrt(1 - 3 * t / 4), w, w, w])[:, None, None]
-        * _PAULI_BASIS)
+        * PAULI_BASIS)
 
 
 def make_erasure(k: float) -> KrausChannel:
@@ -101,21 +94,6 @@ def make_erasure(k: float) -> KrausChannel:
     ops[0, 0, 0] = ops[0, 1, 1] = np.sqrt(1 / k)
     ops[1, 2, 0] = ops[2, 2, 1] = np.sqrt(1 - 1 / k)
     return KrausChannel(ops)
-
-
-def _weyl(d: int, k: int) -> np.ndarray:
-    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
-    a, b = divmod(k, d)
-    omega = np.exp(2j * np.pi / d)
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(omega ** np.arange(d))
-    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-
-
-def weyl_operators(d: int) -> tuple:
-    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
-    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
-    return tuple(_weyl(d, k) for k in range(d * d))
 
 
 def apply(ch: KrausChannel, rho: DensityMatrix, subsystem: int) -> DensityMatrix:
@@ -137,11 +115,9 @@ def local_decohere(psi: PureState, make_channel, t: float) -> DensityMatrix:
 def two_qubit_kraus_stack(make_channel, ts) -> np.ndarray:
     """Stacked two-qubit Kraus operators E_i (x) E_j over a grid of t.
 
-    Shape (len(ts), k^2, 4, 4).  One broadcast product forms every pair
-    at once, from kron(A, B)[2a + c, 2b + d] = A[a, b] B[c, d].  The
-    decoherence sweep builds its per-t superoperator from this stack
-    (``harness._superoperators``).
+    Shape (len(ts), k^2, 4, 4).  One batched ``_kron`` forms every pair
+    at once.  The decoherence sweep builds its per-t superoperator from
+    this stack (``harness._superoperators``).
     """
     e = np.stack([make_channel(t).kraus_ops for t in ts])
-    prod = e[:, :, None, :, None, :, None] * e[:, None, :, None, :, None, :]
-    return prod.reshape(len(e), -1, 4, 4)
+    return _kron(e[:, :, None], e[:, None]).reshape(len(e), -1, 4, 4)

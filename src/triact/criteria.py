@@ -15,22 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (ENTROPY_CUTOFF, DensityMatrix, partial_trace,
-                    von_neumann_entropy)
+from .qcore import (ENTROPY_CUTOFF, PAULI_BASIS, DensityMatrix, _kron,
+                    partial_trace, von_neumann_entropy)
 
 # Boundary cases (M = 1, entropy ties) classify negative.
 TIE_TOLERANCE = 1e-9
 # maximize_chsh: random starts, rounds per start, tolerance and seed.
 CHSH_RESTARTS, CHSH_ROUNDS, CHSH_TOL, CHSH_SEED = 10, 100, 1e-12, 7
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 # sigma_i (x) sigma_j stacked as a (9, 4, 4) array, row-major in (i, j).
-PAULI_KRON = np.stack([np.kron(a, b) for a in PAULI for b in PAULI])
+PAULI_KRON = _kron(PAULI_BASIS[1:, None],
+                   PAULI_BASIS[None, 1:]).reshape(9, 4, 4)
 
 # Each sigma_i (x) sigma_j has one nonzero entry c per row a, at a column
 # b, and c is +-1 or +-i.  So Re Tr[rho P] sums four exact terms

@@ -176,13 +176,14 @@ def _chunks(n: int):
         yield range(lo, min(lo + CHUNK_SIZE, n))
 
 
-def _run_chunked(worker, args_for, cfg: ExperimentConfig, n: int):
-    """Map worker over index chunks, in processes when threads > 1 and
-    there is more than one chunk."""
-    chunk_args = [args_for(idx) for idx in _chunks(n)]
+def _run_chunked(worker, cfg: ExperimentConfig, *args):
+    """Map worker(seed, indices, *args) over the index chunks of the
+    n_states, in processes when threads > 1 and there is more than one
+    chunk."""
+    chunk_args = [(cfg.seed, idx, *args) for idx in _chunks(cfg.n_states)]
     # Every worker of the pool is started on the first submit, so never
-    # ask for more of them than there are chunks.
-    workers = min(cfg.threads, len(chunk_args))
+    # ask for more of them than there are chunks or CPUs.
+    workers = min(cfg.threads, len(chunk_args), os.cpu_count() or 1)
     if workers == 1:
         return [worker(*a) for a in chunk_args]
     # Imported here: a serial run never loads the process-pool machinery.
@@ -202,8 +203,7 @@ def _census_chunk(seed: int, indices):
 
 def run_census(cfg: ExperimentConfig):
     """Classify n_states Hilbert-Schmidt-random two-qubit states."""
-    parts = _run_chunked(_census_chunk, lambda idx: (cfg.seed, list(idx)),
-                         cfg, cfg.n_states)
+    parts = _run_chunked(_census_chunk, cfg)
     n = cfg.n_states
     cols = {"state_index": np.arange(n),
             **{f: np.concatenate([p[f] for p in parts]) for f in parts[0]}}
@@ -294,10 +294,7 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
     """Locally decohere FS-random pure states over a t grid and track the
     interval where they are nonlocal resources."""
     ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
-    parts = _run_chunked(
-        _sweep_chunk,
-        lambda idx: (cfg.seed, list(idx), cfg.channel, cfg.n_time_steps),
-        cfg, cfg.n_states)
+    parts = _run_chunked(_sweep_chunk, cfg, cfg.channel, cfg.n_time_steps)
     cols = {"state_index": np.arange(cfg.n_states),
             **_interval_columns(np.concatenate(parts, axis=0), ts)}
     widths, activated = cols["width"], cols["activated"]

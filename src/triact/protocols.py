@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import COMPLETENESS_TOL, _weyl
 from .criteria import TIE_TOLERANCE, horodecki_m
-from .qcore import (LOCAL_WEIGHT_CUTOFF, MAX_PAIR_D, ZERO_PROB,
-                    DensityMatrix, DimensionError, PureState, _checked,
-                    _conditioned, _items, _kron, _require_psd, partial_trace,
-                    project_and_condition, require_hermitian, tensor)
+from .qcore import (COMPLETENESS_TOL, LOCAL_WEIGHT_CUTOFF, MAX_PAIR_D,
+                    ZERO_PROB, DensityMatrix, DimensionError, PureState,
+                    _checked, _conditioned, _items, _kron, _require_psd, _weyl,
+                    partial_trace, project_and_condition, require_hermitian,
+                    tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension the teleportation protocols check and support.

@@ -25,6 +25,9 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
+# Largest entry modulus of sum_k E_k^dag E_k - I (a Kraus channel) or of
+# a POVM's sum minus I that still counts as complete.
+COMPLETENESS_TOL = 1e-10
 # Outcome probability below which a conditioned state is None (the
 # zero-probability marker).
 ZERO_PROB = 1e-12
@@ -41,6 +44,13 @@ LOCAL_WEIGHT_CUTOFF = 1e-15
 MAX_TOTAL_DIM = 4096
 # Largest d of a (d, d) pair, derived from the cap: 64.
 MAX_PAIR_D = math.isqrt(MAX_TOTAL_DIM)
+
+
+# I, sigma_x, sigma_y, sigma_z as one read-only (4, 2, 2) stack: the CHSH
+# correlations' basis and the PD and D Kraus operators up to weights.
+PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                        [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+PAULI_BASIS.flags.writeable = False
 
 
 class DimensionError(ValueError):
@@ -204,11 +214,13 @@ class DensityMatrix:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 2-d arrays, bit for bit: the one broadcast
-    product, without np.kron's n-d set-up, which dominates at the small
-    operands the protocols use."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """``np.kron`` over the last two axes, the leading axes broadcast; on
+    two 2-d arrays ``np.kron`` bit for bit.  One broadcast product, from
+    kron(A, B)[p a + c, q b + d] = A[a, b] B[c, d], without np.kron's n-d
+    set-up, which dominates at the small operands the protocols use."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix, *rest: DensityMatrix) -> DensityMatrix:
@@ -234,6 +246,21 @@ def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
         dims.pop(idx)
     d = math.prod(dims)
     return DensityMatrix(tuple(dims), t.reshape(d, d))
+
+
+def _weyl(d: int, k: int) -> np.ndarray:
+    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
+    a, b = divmod(k, d)
+    omega = np.exp(2j * np.pi / d)
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(omega ** np.arange(d))
+    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+
+
+def weyl_operators(d: int) -> tuple:
+    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
+    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
+    return tuple(_weyl(d, k) for k in range(d * d))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

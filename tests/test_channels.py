@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from triact.channels import (COMPLETENESS_TOL, KrausChannel, apply,
-                             local_decohere, make_ad, make_d, make_erasure,
-                             make_pd, two_qubit_kraus_stack, weyl_operators)
-from triact.criteria import PAULI, correlation_matrix
-from triact.qcore import DensityMatrix, ValidationError, fidelity_pure, \
-    partial_trace
+from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
+                             make_d, make_erasure, make_pd,
+                             two_qubit_kraus_stack)
+from triact.criteria import correlation_matrix
+from triact.qcore import (COMPLETENESS_TOL, DensityMatrix, ValidationError,
+                          fidelity_pure, partial_trace, weyl_operators)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
@@ -81,6 +81,11 @@ def test_kraus_channel_rejects_ragged_operators():
         KrausChannel((np.diag([1.0, 0.0]), e))
     with pytest.raises(ValidationError, match="at least one"):
         KrausChannel(())
+    # a 0-d input reaches the ndim gate, not a TypeError from len()
+    for scalar in (5, None):
+        with pytest.raises(ValidationError,
+                           match="^Kraus operators must be matrices$"):
+            KrausChannel(scalar)
 
 
 def test_kraus_channel_holds_one_read_only_stack():
@@ -96,7 +101,10 @@ def test_kraus_channel_holds_one_read_only_stack():
 def test_sweep_operators_equal_literal_formulas():
     """AD, PD (both forms) and D on the sweep's 1000-point grid, bit for
     bit against the operator formulas written out one by one."""
-    eye, z = np.eye(2), PAULI[2]
+    eye = np.eye(2)
+    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]])]
+    z = paulis[2]
     for t in np.linspace(0.0, 1.0, 1000):
         for ch, ops in (
                 (make_ad(t), [np.array([[1, 0], [0, np.sqrt(1 - t)]]),
@@ -105,7 +113,7 @@ def test_sweep_operators_equal_literal_formulas():
                 (make_pd(t, verbatim=True),
                  [np.sqrt(t) * eye, np.sqrt(1 - t) * z]),
                 (make_d(t), [np.sqrt(1 - 3 * t / 4) * eye]
-                 + [np.sqrt(t / 4) * s for s in PAULI])):
+                 + [np.sqrt(t / 4) * s for s in paulis])):
             want = np.array(ops, dtype=complex)
             np.testing.assert_array_equal(ch.kraus_ops, want)
             np.testing.assert_array_equal(np.signbit(ch.kraus_ops.view(float)),

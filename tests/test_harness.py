@@ -71,8 +71,9 @@ def test_census_deterministic_csv(tmp_path):
 
 
 def test_worker_count_clamped_to_chunks(monkeypatch):
-    """The pool gets at most one worker per chunk, and one chunk runs
-    serially; a fake pool records the request and starts no process."""
+    """The pool gets at most one worker per chunk and per CPU, and one
+    chunk runs serially; a fake pool records the request and starts no
+    process."""
     built = []
 
     class FakePool:
@@ -90,10 +91,17 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
 
     # _run_chunked imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     run_census(census_cfg(n_states=10, threads=1000))
     assert built == []
     run_census(census_cfg(n_states=4100, threads=1000))
     assert built == [2]
+    # three chunks on two CPUs get two workers; an unknown count gets one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    run_census(census_cfg(n_states=8193, threads=1000))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_census(census_cfg(n_states=4100, threads=1000))
+    assert built == [2, 2]
 
 
 def test_census_bookkeeping_identity():

@@ -4,7 +4,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from triact.channels import weyl_operators
 from triact.criteria import horodecki_m
 from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, MAX_TELEPORT_D,
                               ProtocolOutcome, bell_state,
@@ -16,7 +15,7 @@ from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, MAX_TELEPORT_D,
 from triact.qcore import (LOCAL_WEIGHT_CUTOFF, PSD_TOL, DensityMatrix,
                           DimensionError, PureState, ValidationError,
                           fidelity_pure, partial_trace, project_and_condition,
-                          tensor)
+                          tensor, weyl_operators)
 from triact.states import erased, isotropic, max_entangled
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact.protocols import build_symmetric_extension
-from triact.qcore import (ENTROPY_CUTOFF, HERMITICITY_TOL, TRACE_TOL,
-                          DensityMatrix, DimensionError, PureState,
+from triact.qcore import (ENTROPY_CUTOFF, HERMITICITY_TOL, PAULI_BASIS,
+                          TRACE_TOL, DensityMatrix, DimensionError, PureState,
                           ValidationError, _kron, _spectrum,
                           fidelity_pure, partial_trace, project_and_condition,
                           tensor, von_neumann_entropy)
@@ -133,6 +133,25 @@ def test_kron_is_np_kron_bit_for_bit():
                 got, want = _kron(a, b), np.kron(a, b)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (sa, sb, ca, cb)
+    # Batched operands, pair by pair: a (T, k, 1, 2, 2) x (T, 1, k, 2, 2)
+    # Kraus-pair stack, and the 3 x 3 Pauli products.
+    e = operand((5, 4, 2, 2), True)
+    got = _kron(e[:, :, None], e[:, None])
+    assert got.shape == (5, 4, 4, 4, 4)
+    for t, i, j in np.ndindex(5, 4, 4):
+        assert got[t, i, j].tobytes() == np.kron(e[t, i], e[t, j]).tobytes()
+    paulis = PAULI_BASIS[1:]
+    got = _kron(paulis[:, None], paulis[None])
+    assert got.shape == (3, 3, 4, 4)
+    for i, j in np.ndindex(3, 3):
+        assert got[i, j].tobytes() == np.kron(paulis[i], paulis[j]).tobytes()
+
+
+def test_pauli_basis_is_read_only_literal():
+    want = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    assert PAULI_BASIS.dtype == complex and not PAULI_BASIS.flags.writeable
+    assert PAULI_BASIS.tobytes() == want.tobytes()
 
 
 def test_tensor_is_np_kron_bit_for_bit():

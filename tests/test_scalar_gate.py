@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact import protocols
-from triact.channels import (make_ad, make_d, make_erasure, make_pd,
-                             weyl_operators)
+from triact.channels import make_ad, make_d, make_erasure, make_pd
 from triact.harness import ExperimentConfig
 from triact.protocols import (bell_state, build_symmetric_extension,
                               double_teleport, eq2_mixture, erased_protocol,
                               teleport_distribution)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          partial_trace, project_and_condition)
+                          partial_trace, project_and_condition,
+                          weyl_operators)
 from triact.states import (RngSeed, erased, isotropic, max_entangled,
                            random_mixed_hs, random_pure_fs)
 
