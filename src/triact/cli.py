@@ -126,9 +126,8 @@ def main(argv=None) -> int:
     except HarnessIOError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    printable = {k: v for k, v in result.items() if k != "records"}
     try:
-        print(json.dumps(printable, indent=1, default=float), flush=True)
+        print(json.dumps(result, indent=1, default=float), flush=True)
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush
         # at interpreter exit does not fail on the same pipe again.

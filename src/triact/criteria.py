@@ -23,22 +23,19 @@ TIE_TOLERANCE = 1e-9
 # maximize_chsh: random starts, rounds per start, tolerance and seed.
 CHSH_RESTARTS, CHSH_ROUNDS, CHSH_TOL, CHSH_SEED = 10, 100, 1e-12, 7
 
-# sigma_i (x) sigma_j stacked as a (9, 4, 4) array, row-major in (i, j).
-PAULI_KRON = _kron(PAULI_BASIS[1:, None],
-                   PAULI_BASIS[None, 1:]).reshape(9, 4, 4)
-
-# Each sigma_i (x) sigma_j has one nonzero entry c per row a, at a column
-# b, and c is +-1 or +-i.  So Re Tr[rho P] sums four exact terms
-# Re(c rho[b, a]), each +-Re or +-Im of rho[b, a]: _T_TERMS[r, k] indexes
-# term r of T_k in the float view of a flattened rho, _T_SIGNS[r, k] is
-# its sign.  Rows run over a, the order in which
-# np.einsum("kab,nba->nk", PAULI_KRON, rho) accumulates, so the sums
-# agree with that einsum bit for bit.
-_k, _a, _b = np.nonzero(PAULI_KRON)
-_c = PAULI_KRON[_k, _a, _b]
+# sigma_i (x) sigma_j, row-major in (i, j), has one nonzero entry c per
+# row a, at a column b, and c is +-1 or +-i.  So T_ij = Re Tr[rho P]
+# sums four exact terms Re(c rho[b, a]), each +-Re or +-Im of rho[b, a]:
+# _T_TERMS[r, k] indexes term r of T_k (k = 3 i + j) in the float view of
+# a flattened rho, _T_SIGNS[r, k] is its sign.  Rows run over a, the
+# order in which an einsum of the nine products with rho accumulates, so
+# the sums agree with that einsum bit for bit.
+_p = _kron(PAULI_BASIS[1:, None], PAULI_BASIS[None, 1:]).reshape(9, 4, 4)
+_k, _a, _b = np.nonzero(_p)
+_c = _p[_k, _a, _b]
 _T_TERMS = (2 * (4 * _b + _a) + (_c.imag != 0)).reshape(9, 4).T
 _T_SIGNS = (_c.real - _c.imag).reshape(9, 4).T
-del _k, _a, _b, _c
+del _p, _k, _a, _b, _c
 
 
 @dataclass(frozen=True)
@@ -60,10 +57,39 @@ def _require_two_qubit(rho: DensityMatrix):
         raise ValueError(f"expected a two-qubit state, got dims {rho.dims}")
 
 
+def _correlation_stack(mats: np.ndarray) -> np.ndarray:
+    """T of every matrix of a complex (n, 4, 4) stack, as an (n, 3, 3)
+    array: the one path from rho to T."""
+    n = mats.shape[0]
+    x = np.ascontiguousarray(mats).reshape(n, 16).view(float)
+    corr = x[:, _T_TERMS[0]] * _T_SIGNS[0]
+    for terms, signs in zip(_T_TERMS[1:], _T_SIGNS[1:]):
+        corr += x[:, terms] * signs
+    return corr.reshape(n, 3, 3)
+
+
+def _fields(m, s_a, s_b, s_ab) -> dict:
+    """The Classification fields from M and the three entropies, on numpy
+    scalars and arrays alike.  Boundary cases (M = 1, entropy ties)
+    classify negative."""
+    violates = m > 1 + TIE_TOLERANCE
+    distillable = np.maximum(s_a, s_b) - s_ab > TIE_TOLERANCE
+    return {
+        "m_value": m,
+        "chsh_max": 2 * np.sqrt(np.clip(m, 0.0, None)),
+        "s_a": s_a,
+        "s_b": s_b,
+        "s_ab": s_ab,
+        "violates_chsh": violates,
+        "hashing_distillable": distillable,
+        "nonlocal_resource": ~violates & distillable,
+    }
+
+
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """Real 3x3 matrix T with T_ij = Tr[rho (sigma_i (x) sigma_j)]."""
     _require_two_qubit(rho)
-    return np.einsum("kab,ba->k", PAULI_KRON, rho.matrix).real.reshape(3, 3)
+    return _correlation_stack(rho.matrix[None])[0]
 
 
 def horodecki_m(rho: DensityMatrix) -> float:
@@ -87,48 +113,37 @@ def hashing_criterion(rho: DensityMatrix):
     s_a = von_neumann_entropy(partial_trace(rho, {0}))
     s_b = von_neumann_entropy(partial_trace(rho, {1}))
     s_ab = von_neumann_entropy(rho)
-    return s_a, s_b, s_ab, bool(max(s_a, s_b) - s_ab > TIE_TOLERANCE)
+    # M does not enter the hashing flag.
+    rule = _fields(np.float64(0.0), s_a, s_b, s_ab)
+    return s_a, s_b, s_ab, bool(rule["hashing_distillable"])
 
 
 def classify(rho: DensityMatrix) -> Classification:
     """Full two-qubit classification: CHSH first, hashing if no violation."""
     _require_two_qubit(rho)
     m = horodecki_m(rho)
-    s_a, s_b, s_ab, distillable = hashing_criterion(rho)
-    violates = bool(m > 1 + TIE_TOLERANCE)
-    return Classification(
-        m_value=m,
-        chsh_max=float(2 * np.sqrt(max(m, 0.0))),
-        s_a=s_a,
-        s_b=s_b,
-        s_ab=s_ab,
-        violates_chsh=violates,
-        hashing_distillable=distillable,
-        nonlocal_resource=(not violates) and distillable,
-    )
+    s_a, s_b, s_ab, _ = hashing_criterion(rho)
+    # numpy scalars into the rule, Python floats and bools out of it
+    fields = _fields(*np.array([m, s_a, s_b, s_ab]))
+    return Classification(**{k: v.item() for k, v in fields.items()})
 
 
 def classify_batch(mats: np.ndarray):
     """Vectorized `classify` over a stack of two-qubit matrices (n, 4, 4).
 
     Returns a dict of arrays with the Classification fields.  Used by the
-    Monte Carlo harness; agrees with `classify` entry by entry.  T and
-    the marginals are sums of slices of the stack, bit-identical to the
-    PAULI_KRON einsum and to np.trace.
+    Monte Carlo harness; agrees with `classify` entry by entry.  T is
+    `correlation_matrix`'s, and the marginals are sums of slices of the
+    stack, bit-identical to np.trace.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError(f"expected an (n, 4, 4) stack of two-qubit "
                          f"matrices, got shape {mats.shape}")
     n = mats.shape[0]
-    x = mats.reshape(n, 16).view(float)
-    corr = x[:, _T_TERMS[0]] * _T_SIGNS[0]
-    for terms, signs in zip(_T_TERMS[1:], _T_SIGNS[1:]):
-        corr += x[:, terms] * signs
-    corr = corr.reshape(n, 3, 3)
+    corr = _correlation_stack(mats)
     tt = np.einsum("nji,njk->nik", corr, corr)
     w = np.linalg.eigvalsh(tt)
-    m = w[:, -1] + w[:, -2]
 
     def entropy(stack):
         ev = np.linalg.eigvalsh(stack)
@@ -141,19 +156,7 @@ def classify_batch(mats: np.ndarray):
     np.add(t[:, :, 0, :, 0], t[:, :, 1, :, 1], out=marginals[0])  # rho_A
     np.add(t[:, 0, :, 0, :], t[:, 1, :, 1, :], out=marginals[1])  # rho_B
     s_a, s_b = entropy(marginals)
-    s_ab = entropy(mats)
-    violates = m > 1 + TIE_TOLERANCE
-    distillable = np.maximum(s_a, s_b) - s_ab > TIE_TOLERANCE
-    return {
-        "m_value": m,
-        "chsh_max": 2 * np.sqrt(np.clip(m, 0.0, None)),
-        "s_a": s_a,
-        "s_b": s_b,
-        "s_ab": s_ab,
-        "violates_chsh": violates,
-        "hashing_distillable": distillable,
-        "nonlocal_resource": ~violates & distillable,
-    }
+    return _fields(w[:, -1] + w[:, -2], s_a, s_b, entropy(mats))
 
 
 def maximize_chsh(rho: DensityMatrix):

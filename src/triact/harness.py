@@ -252,8 +252,7 @@ def _superoperators(ops: np.ndarray) -> np.ndarray:
     return sup.reshape(n, 16, 16)
 
 
-def _sweep_chunk(seed: int, indices, channel: str, n_steps: int):
-    ts = np.linspace(0.0, 1.0, n_steps)
+def _sweep_chunk(seed: int, indices, channel: str, ts: np.ndarray):
     # the Kraus stack lives only while the maps are built
     sup = _superoperators(
         channels.two_qubit_kraus_stack(CHANNELS[channel], ts))
@@ -294,7 +293,7 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
     """Locally decohere FS-random pure states over a t grid and track the
     interval where they are nonlocal resources."""
     ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
-    parts = _run_chunked(_sweep_chunk, cfg, cfg.channel, cfg.n_time_steps)
+    parts = _run_chunked(_sweep_chunk, cfg, cfg.channel, ts)
     cols = {"state_index": np.arange(cfg.n_states),
             **_interval_columns(np.concatenate(parts, axis=0), ts)}
     widths, activated = cols["width"], cols["activated"]
@@ -418,7 +417,7 @@ def run_iso_curve(cfg: ExperimentConfig):
     201-point p grid, with the activated CHSH value computed through the
     double-teleportation protocol rather than the closed form.  Both the
     isotropic states and the conditional states are classified in one
-    batch each."""
+    batch each; the records go to the written table only."""
     ps = np.linspace(0.0, 1.0, 201)
     cls = criteria.classify_batch(np.stack([_isotropic_matrix(p, 2)
                                             for p in ps]))
@@ -426,22 +425,20 @@ def run_iso_curve(cfg: ExperimentConfig):
     conditional = np.stack([
         protocols.double_teleport(phi, float(p), 2, (0, 0))
         .conditional_state.matrix for p in ps])
-    act = criteria.classify_batch(conditional)["chsh_max"]
+    act = criteria.classify_batch(conditional)
     cols = {
         "p": ps,
         "m_value": cls["m_value"],
         "chsh_max": cls["chsh_max"],
         "hashing_margin": np.maximum(cls["s_a"], cls["s_b"]) - cls["s_ab"],
-        "activated_chsh": act,
+        "activated_chsh": act["chsh_max"],
     }
-    rows = zip(*(c.tolist() for c in cols.values()))
-    records = [dict(zip(cols, row)) for row in rows]
-    crossing = next((r["p"] for r in records if r["activated_chsh"] > 2),
-                    None)
+    violates = act["violates_chsh"]
+    crossing = float(ps[violates.argmax()]) if violates.any() else None
     summary = {"activated_crossing_p": crossing}
     if cfg.output_path:
         _write_table(cfg, cols, summary)
-    return {"records": records, **summary}
+    return summary
 
 
 RUNNERS = {

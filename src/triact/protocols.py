@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import TIE_TOLERANCE, horodecki_m
+from .criteria import classify
 from .qcore import (COMPLETENESS_TOL, LOCAL_WEIGHT_CUTOFF, MAX_PAIR_D,
                     ZERO_PROB, DensityMatrix, DimensionError, PureState,
                     _checked, _conditioned, _items, _kron, _require_psd, _weyl,
@@ -278,4 +278,4 @@ def verify_locality_observation(rho: DensityMatrix, proj, proj_subsystems,
     reduced = partial_trace(cond, cut)
     if reduced.dims != (2, 2):
         raise ValueError(f"cut must select two qubits, got dims {reduced.dims}")
-    return horodecki_m(reduced) > 1 + TIE_TOLERANCE
+    return classify(reduced).violates_chsh

@@ -1,18 +1,25 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from triact import criteria
-from triact.channels import two_qubit_kraus_stack
-from triact.criteria import (PAULI_KRON, TIE_TOLERANCE, classify,
+from triact.channels import local_decohere, two_qubit_kraus_stack
+from triact.criteria import (TIE_TOLERANCE, Classification, classify,
                              classify_batch, correlation_matrix,
                              hashing_criterion, horodecki_m, maximize_chsh)
 from triact.harness import CHANNELS, _sweep_chunk
-from triact.qcore import DensityMatrix
+from triact.protocols import verify_locality_observation
+from triact.qcore import PAULI_BASIS, DensityMatrix, tensor
 from triact.states import (RngSeed, isotropic, max_entangled, random_mixed_hs,
                            random_pure_fs)
 
 MAXMIX = DensityMatrix((2, 2), np.eye(4) / 4)
 BELL = max_entangled(2).density_matrix()
+# sigma_i (x) sigma_j stacked as a (9, 4, 4) array, row-major in (i, j):
+# the independent reference for the package's one rho -> T kernel.
+PAULI_KRON = np.array([np.kron(a, b) for a in PAULI_BASIS[1:]
+                       for b in PAULI_BASIS[1:]])
 
 
 def mixed(i, seed=31):
@@ -51,6 +58,57 @@ def test_correlation_matrix_cases():
 def test_correlation_matrix_rejects_wrong_dims():
     with pytest.raises(ValueError):
         correlation_matrix(DensityMatrix((4,), np.eye(4) / 4))
+
+
+def einsum_correlation_matrix(rho):
+    """T by its defining formula, Tr[rho (sigma_i (x) sigma_j)]."""
+    return np.einsum("kab,ba->k", PAULI_KRON, rho.matrix).real.reshape(3, 3)
+
+
+def test_correlation_matrix_bit_identical_to_einsum():
+    # One 4096-state census chunk (seed 0), and FS states decohered by
+    # each channel along an 11-point t grid.
+    states = [random_mixed_hs(4, RngSeed(0, i), dims=(2, 2))
+              for i in range(4096)]
+    for i in range(20):
+        psi = random_pure_fs(4, RngSeed(3, i), dims=(2, 2))
+        for make in CHANNELS.values():
+            states += [local_decohere(psi, make, float(t))
+                       for t in np.linspace(0.0, 1.0, 11)]
+    for rho in states:
+        assert (correlation_matrix(rho).tobytes()
+                == einsum_correlation_matrix(rho).tobytes())
+
+
+def test_classify_fields_are_python_float_and_bool():
+    for rho in (BELL, MAXMIX, mixed(0), isotropic(0.8, 2)):
+        c = classify(rho)
+        for field in dataclasses.fields(Classification):
+            kind = bool if field.type == "bool" else float
+            assert type(getattr(c, field.name)) is kind, field.name
+
+
+def bell_diagonal(m):
+    """The isotropic state whose M is ``m``: T = diag(p, -p, p) with
+    2 p^2 = m."""
+    return isotropic(np.sqrt(m / 2), 2)
+
+
+def test_violation_rule_at_its_boundary():
+    """Within TIE_TOLERANCE above M = 1 every path calls the state
+    non-violating; past it every path calls it violating.  The state is
+    also read through `verify_locality_observation`, as the A-B pair of
+    rho (x) |0><0|_C conditioned on C's |0><0|."""
+    keep = np.diag([1.0, 0.0]).astype(complex)
+    for m, violates in ((1 + TIE_TOLERANCE / 2, False),
+                        (1 + 2 * TIE_TOLERANCE, True)):
+        rho = bell_diagonal(m)
+        c = classify(rho)
+        assert c.m_value == pytest.approx(m, rel=0, abs=1e-14)
+        assert c.violates_chsh is violates
+        assert classify_batch(rho.matrix[None])["violates_chsh"][0] == violates
+        full = tensor(rho, DensityMatrix((2,), keep))
+        assert verify_locality_observation(full, keep, [2], {0, 1}) is violates
 
 
 def test_horodecki_m_cases():
@@ -203,7 +261,7 @@ def test_classify_batch_bit_identical_on_sweep_states(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(criteria, "classify_batch", recording)
         for channel in CHANNELS:
-            _sweep_chunk(0, range(3), channel, len(ts))
+            _sweep_chunk(0, range(3), channel, ts)
     for make in CHANNELS.values():
         ops = two_qubit_kraus_stack(make, ts)
         for i in range(3):
@@ -214,6 +272,20 @@ def test_classify_batch_bit_identical_on_sweep_states(monkeypatch):
     assert len(swept) == 3 * len(CHANNELS)
     for mats in swept:
         assert_classify_batch_bit_identical(mats)
+
+
+def test_t_kernel_reads_strided_matrices():
+    # A view with a non-contiguous last axis: the float view of the
+    # flattened stack needs a copy first.
+    mats = np.stack([mixed(i).matrix for i in range(3)])
+    wide = np.zeros((3, 4, 8), dtype=complex)
+    wide[:, :, ::2] = mats
+    got, want = classify_batch(wide[:, :, ::2]), classify_batch(mats)
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+    rho = DensityMatrix((2, 2), wide[0, :, ::2])
+    assert (correlation_matrix(rho).tobytes()
+            == correlation_matrix(mixed(0)).tobytes())
 
 
 def test_classify_batch_requires_stack_of_4x4():

@@ -242,9 +242,10 @@ def test_sweep_chunk_memory_bound():
     # 25 depolarized states on the paper's 1000-step grid: the Kraus
     # stack (4 MB), the per-t superoperators (4 KB per step) and one
     # state's stacks.
+    ts = np.linspace(0.0, 1.0, 1000)
     tracemalloc.start()
     try:
-        harness._sweep_chunk(0, range(25), "D", 1000)
+        harness._sweep_chunk(0, range(25), "D", ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,10 +303,11 @@ def test_extension_verify_all_pass():
 
 
 def test_iso_curve_grid(tmp_path):
-    path = tmp_path / "iso.csv"
+    path = tmp_path / "iso.json"
     out = run_iso_curve(ExperimentConfig(experiment="iso_curve",
-                                         output_path=str(path)))
-    rows = out["records"]
+                                         output_path=str(path),
+                                         output_format="json"))
+    rows = json.loads(path.read_text())["records"]
     assert len(rows) == 201
     first, last = rows[0], rows[-1]
     assert first["m_value"] < 1e-12 and first["activated_chsh"] < 1e-9

@@ -12,6 +12,7 @@ The batch iso-curve is checked against the scalar `classify` and
 closed form `eq2_mixture` are each shown to run without the other's
 code."""
 
+import json
 import math
 
 import numpy as np
@@ -163,7 +164,7 @@ def test_sweep_flags_invariant_under_local_unitaries(monkeypatch, channel,
 
     with monkeypatch.context() as m:
         m.setattr(criteria, "classify_batch", recording)
-        want = harness._sweep_chunk(0, indices, channel, len(SWEEP_TS))
+        want = harness._sweep_chunk(0, indices, channel, SWEEP_TS)
     rng = np.random.default_rng(11)
     drawn = harness.random_pure_fs
 
@@ -172,7 +173,7 @@ def test_sweep_flags_invariant_under_local_unitaries(monkeypatch, channel,
         return PureState(psi.dims, draw(rng) @ psi.amplitudes)
 
     monkeypatch.setattr(harness, "random_pure_fs", rotated)
-    got = harness._sweep_chunk(0, indices, channel, len(SWEEP_TS))
+    got = harness._sweep_chunk(0, indices, channel, SWEEP_TS)
     m_value = np.stack([c["m_value"] for c in cols])
     margin = np.stack([np.maximum(c["s_a"], c["s_b"]) - c["s_ab"]
                        for c in cols])
@@ -203,7 +204,7 @@ def test_sweep_superoperators_give_the_kraus_sums(monkeypatch, channel):
         m.setattr(criteria, "classify_batch", recording)
         m.setattr(channels, "local_decohere", disabled)
         m.setattr(criteria, "classify", disabled)
-        got = harness._sweep_chunk(0, range(10), channel, len(ts))
+        got = harness._sweep_chunk(0, range(10), channel, ts)
     ops = two_qubit_kraus_stack(harness.CHANNELS[channel], ts)
     assert len(stacks) == 10
     for i, mats in enumerate(stacks):
@@ -226,12 +227,14 @@ def test_isotropic_matrix_is_the_validated_matrix():
                     == isotropic(p, d).matrix.tobytes())
 
 
-def test_iso_curve_equals_the_scalar_path(monkeypatch):
-    """Every iso-curve record equals the scalar path exactly.  The runner
-    then runs with `classify` and `horodecki_m` disabled, so the batch
-    path cannot lean on the oracle it is checked against."""
+def test_iso_curve_equals_the_scalar_path(monkeypatch, tmp_path):
+    """Every written iso-curve record equals the scalar path exactly, and
+    the crossing is the first grid p whose conditional state `classify`
+    calls violating.  The runner then runs with `classify` and
+    `horodecki_m` disabled, so the batch path cannot lean on the oracle
+    it is checked against."""
     phi = max_entangled(2)
-    want = []
+    want, violating = [], []
     for p in np.linspace(0.0, 1.0, 201):
         cls = classify(isotropic(p, 2))
         cond = double_teleport(phi, float(p), 2, (0, 0)).conditional_state
@@ -239,14 +242,19 @@ def test_iso_curve_equals_the_scalar_path(monkeypatch):
                      "chsh_max": cls.chsh_max,
                      "hashing_margin": max(cls.s_a, cls.s_b) - cls.s_ab,
                      "activated_chsh": 2 * math.sqrt(horodecki_m(cond))})
+        if classify(cond).violates_chsh:
+            violating.append(float(p))
 
     def disabled(*args, **kwargs):
         raise AssertionError("the iso-curve runner called a scalar oracle")
 
     monkeypatch.setattr(criteria, "classify", disabled)
     monkeypatch.setattr(criteria, "horodecki_m", disabled)
-    got = run_iso_curve(ExperimentConfig(experiment="iso_curve"))["records"]
-    assert got == want
+    path = tmp_path / "iso.json"
+    summary = run_iso_curve(ExperimentConfig(
+        experiment="iso_curve", output_path=str(path), output_format="json"))
+    assert json.loads(path.read_text())["records"] == want
+    assert summary == {"activated_crossing_p": violating[0]}
 
 
 def test_teleport_kernel_and_eq2_closed_form_share_no_code(monkeypatch):
