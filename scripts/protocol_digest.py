@@ -1,7 +1,8 @@
 """Print one sha256 line per protocol and d over outcomes the CLI never
 requests: `double_teleport` for every Bell outcome pair at d = 2 and 3,
 `erased_protocol` for every Bell outcome and first-step branch, and
-every `bell_state` at d = 2 and 3.  Then the scalar criteria no CLI
+every `bell_state` at d = 2 to 8 (beyond d = 3, past the Bell bra
+table the protocols build at import).  Then the scalar criteria no CLI
 command reaches: one sha256 line each for the `classify` fields (value
 and type) and the `correlation_matrix` bytes over fixed HS, isotropic
 and decohered states, and one line of `verify_locality_observation`
@@ -27,6 +28,7 @@ from triact.states import RngSeed, isotropic, random_mixed_hs, random_pure_fs
 
 N_PHI = 40
 ERASED_K = (1, 2, 3, 7.5)
+BELL_D = range(2, 9)
 N_HS, N_FS = 1000, 20
 # M - 1 of the tie-band isotropic states
 TIE_OFFSETS = (-1e-6, -1e-9, 0.0, 5e-10, 1e-9, 2e-9, 1e-6)
@@ -56,7 +58,7 @@ def main():
             for branch in itertools.product((0, 1), repeat=2):
                 digest.update(outcome_bytes(erased_protocol(k, bell, branch)))
     print(f"erased_protocol d=2 {digest.hexdigest()}")
-    for d in (2, 3):
+    for d in BELL_D:
         digest = hashlib.sha256()
         for index in range(d * d):
             digest.update(bell_state(d, index).amplitudes.tobytes())

@@ -10,8 +10,7 @@ from .protocols import (ProtocolOutcome, bell_state,
                         eq2_mixture, erased_protocol, teleport_distribution,
                         verify_locality_observation)
 from .qcore import (DensityMatrix, PureState, fidelity_pure, partial_trace,
-                    project_and_condition, tensor, von_neumann_entropy,
-                    weyl_operators)
+                    project_and_condition, tensor, von_neumann_entropy)
 from .states import (RngSeed, erased, isotropic, max_entangled,
                      random_mixed_hs, random_pure_fs)
 

@@ -127,7 +127,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     try:
-        print(json.dumps(result, indent=1, default=float), flush=True)
+        print(json.dumps(result, indent=1), flush=True)
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush
         # at interpreter exit does not fail on the same pipe again.

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import classify
-from .qcore import (COMPLETENESS_TOL, LOCAL_WEIGHT_CUTOFF, MAX_PAIR_D,
-                    ZERO_PROB, DensityMatrix, DimensionError, PureState,
-                    _checked, _conditioned, _items, _kron, _require_psd, _weyl,
-                    partial_trace, project_and_condition, require_hermitian,
-                    tensor)
+from .qcore import (COMPLETENESS_TOL, MAX_PAIR_D, ZERO_PROB, DensityMatrix,
+                    DimensionError, PureState, _checked, _conditioned, _items,
+                    _kron, _require_psd, partial_trace, project_and_condition,
+                    require_hermitian, tensor)
 from .states import _isotropic_matrix, _psi_plus, erased
 
 # Largest local dimension the teleportation protocols check and support.
@@ -33,6 +32,9 @@ MAX_EXTENSION_K = 4
 # From this k on, the erased protocol's success branch (probability
 # 1/(4k^2)) falls under the zero-probability marker: exactly 5e5.
 MAX_ERASED_K = (4 * ZERO_PROB) ** -0.5
+# A teleported state's local weight 1 - p^2 at or below this leaves no
+# local part to normalize: teleport_distribution takes it maximally mixed.
+LOCAL_WEIGHT_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,15 @@ class ProtocolOutcome:
     success_probability: float
     conditional_state: DensityMatrix | None
     outcome_labels: tuple
+
+
+def _weyl(d: int, k: int) -> np.ndarray:
+    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
+    a, b = divmod(k, d)
+    omega = np.exp(2j * np.pi / d)
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(omega ** np.arange(d))
+    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
 
 
 def _bell_amplitudes(d: int, k: int) -> np.ndarray:

@@ -35,9 +35,6 @@ ZERO_PROB = 1e-12
 ENTROPY_CUTOFF = 1e-14
 # A pure-state fidelity is accepted in [-FIDELITY_TOL, 1 + FIDELITY_TOL].
 FIDELITY_TOL = 1e-10
-# A teleported state's local weight 1 - p^2 at or below this leaves no
-# local part to normalize: teleport_distribution takes it maximally mixed.
-LOCAL_WEIGHT_CUTOFF = 1e-15
 
 # Largest total Hilbert-space dimension of a PureState, DensityMatrix or
 # tensor product; the builders bound their d by it before allocating.
@@ -246,21 +243,6 @@ def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
         dims.pop(idx)
     d = math.prod(dims)
     return DensityMatrix(tuple(dims), t.reshape(d, d))
-
-
-def _weyl(d: int, k: int) -> np.ndarray:
-    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
-    a, b = divmod(k, d)
-    omega = np.exp(2j * np.pi / d)
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(omega ** np.arange(d))
-    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-
-
-def weyl_operators(d: int) -> tuple:
-    """The d^2 Heisenberg-Weyl unitaries X^a Z^b, ordered by (a, b)."""
-    d = _checked(d, "d", 1, MAX_PAIR_D, integer=True)
-    return tuple(_weyl(d, k) for k in range(d * d))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

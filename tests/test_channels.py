@@ -5,8 +5,9 @@ from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
                              make_d, make_erasure, make_pd,
                              two_qubit_kraus_stack)
 from triact.criteria import correlation_matrix
-from triact.qcore import (COMPLETENESS_TOL, DensityMatrix, ValidationError,
-                          fidelity_pure, partial_trace, weyl_operators)
+from triact.protocols import _weyl
+from triact.qcore import (COMPLETENESS_TOL, DensityMatrix, PureState,
+                          ValidationError, fidelity_pure, partial_trace)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
@@ -21,12 +22,21 @@ def act(ch, mat):
     return apply(ch, qubit(mat), 0).matrix
 
 
+def weyl(d, k):
+    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, written out: X
+    the cyclic shift |j> -> |j + 1>, Z the clock diag(omega^j)."""
+    a, b = divmod(k, d)
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+
+
 def make_depolarizing(p, d):
     """d-dimensional depolarizing channel s -> p s + (1 - p) I/d: the
     weighted identity plus the d^2 - 1 other Heisenberg-Weyl unitaries."""
     q = (1 - p) / d**2
     return KrausChannel([np.sqrt(p + q) * np.eye(d)]
-                        + [np.sqrt(q) * w for w in weyl_operators(d)[1:]])
+                        + [np.sqrt(q) * weyl(d, k) for k in range(1, d * d)])
 
 
 def test_completeness_enforced():
@@ -362,10 +372,17 @@ def test_two_qubit_kraus_stack_equals_kron_of_pairs():
 
 
 def test_weyl_operators_are_unitary_and_distinct():
-    for d in (2, 3):
-        ws = weyl_operators(d)
-        assert len(ws) == d * d
-        for w in ws:
+    # the protocols' Weyl unitaries are the written-out X^a Z^b, bit for
+    # bit, unitary and trace-orthogonal
+    for d in (2, 3, 5):
+        ws = [_weyl(d, k) for k in range(d * d)]
+        for k, w in enumerate(ws):
+            assert w.tobytes() == weyl(d, k).tobytes()
             np.testing.assert_allclose(w @ w.conj().T, np.eye(d), atol=1e-12)
         gram = [[abs(np.trace(a.conj().T @ b)) for b in ws] for a in ws]
         np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
+
+
+def test_local_decohere_takes_only_two_qubits():
+    with pytest.raises(ValueError, match="two-qubit pure state"):
+        local_decohere(PureState((4,), [1, 0, 0, 0]), make_ad, 0.3)

@@ -538,6 +538,28 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
 
 
+def test_interrupted_write_reraises_and_cleans_up(tmp_path, monkeypatch):
+    """An exception other than OSError partway through a write propagates
+    as it is, with the target unchanged and no temp file behind."""
+    def interrupted_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+
+        def half_write(text):
+            write(text[:len(text) // 2])
+            raise KeyboardInterrupt
+        fh.write = half_write
+        return fh
+
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"previous\n")
+    monkeypatch.setattr(harness, "open", interrupted_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        harness._write_atomic(str(target), "new,text\n")
+    assert target.read_bytes() == b"previous\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_json_and_csv_agree(tmp_path):
     c = tmp_path / "s.csv"
     j = tmp_path / "s.json"

@@ -5,18 +5,27 @@ import numpy as np
 import pytest
 
 from triact.criteria import horodecki_m
-from triact.protocols import (M_B0, M_B1, MAX_ERASED_K, MAX_TELEPORT_D,
-                              ProtocolOutcome, bell_state,
+from triact.protocols import (LOCAL_WEIGHT_CUTOFF, M_B0, M_B1, MAX_ERASED_K,
+                              MAX_TELEPORT_D, ProtocolOutcome, bell_state,
                               build_symmetric_extension, double_teleport,
                               eq2_mixture, erased_protocol,
                               teleport_distribution,
                               verify_locality_observation, _BELL_BRAS,
                               _erased_pair_state)
-from triact.qcore import (LOCAL_WEIGHT_CUTOFF, PSD_TOL, DensityMatrix,
-                          DimensionError, PureState, ValidationError,
-                          fidelity_pure, partial_trace, project_and_condition,
-                          tensor, weyl_operators)
+from triact.qcore import (PSD_TOL, DensityMatrix, DimensionError, PureState,
+                          ValidationError, fidelity_pure, partial_trace,
+                          project_and_condition, tensor)
 from triact.states import erased, isotropic, max_entangled
+
+
+def weyl_unitaries(d):
+    """The d^2 Heisenberg-Weyl unitaries X^a Z^b ordered by k = a*d + b,
+    written out: X the cyclic shift |j> -> |j + 1>, Z the clock
+    diag(omega^j)."""
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    return [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            for a in range(d) for b in range(d)]
 
 
 def random_pure(rng, d):
@@ -46,7 +55,7 @@ def test_bell_state_equals_literal_formula():
     for d in (2, 3):
         psi = np.zeros((d, d), dtype=complex)
         psi[range(d), range(d)] = 1 / np.sqrt(d)
-        for k, w in enumerate(weyl_operators(d)):
+        for k, w in enumerate(weyl_unitaries(d)):
             want = psi @ w.T
             got = bell_state(d, k).amplitudes
             assert got.tobytes() == want.reshape(-1).tobytes()
@@ -59,7 +68,7 @@ def literal_double_teleport(phi, p, d, o1, o2):
     projections on (B1, F1) and (F2, B2), then the (A, C) marginal."""
     iso = isotropic(p, d)
     full = tensor(iso, phi.density_matrix(), iso)
-    ws = weyl_operators(d)
+    ws = weyl_unitaries(d)
     psi = max_entangled(d).amplitudes.reshape(d, d)
     v1 = (psi @ ws[o1].T).reshape(-1)
     v2 = (ws[o2] @ psi).reshape(-1)
@@ -76,7 +85,7 @@ def test_double_teleport_matches_literal_network():
         phi = random_pure(rng, d)
         p = rng.uniform()
         prob, ac = literal_double_teleport(phi, p, d, o1, o2)
-        ws = weyl_operators(d)
+        ws = weyl_unitaries(d)
         u = np.kron(ws[o1], ws[o2])
         out = double_teleport(phi, p, d, (o1, o2))
         assert out.outcome_labels == (o1, o2)
@@ -132,7 +141,7 @@ def test_double_teleport_matches_eq2_mixture():
 def test_double_teleport_corrected_branches():
     rng = np.random.default_rng(3)
     phi = random_pure(rng, 2)
-    ws = weyl_operators(2)
+    ws = weyl_unitaries(2)
     for o1 in range(4):
         for o2 in range(4):
             # The teleportation correction W_o1 (x) W_o2, local to A and C.
@@ -215,6 +224,14 @@ def test_teleport_distribution_rejects_bad_povm():
     with pytest.raises(ValueError):
         teleport_distribution(max_entangled(2), 0.5, 2,
                               [np.eye(2), np.eye(2)], bloch_povm([0, 0, 1]))
+    with pytest.raises(ValueError, match="d x d"):
+        teleport_distribution(max_entangled(2), 0.5, 2, [np.eye(3)],
+                              bloch_povm([0, 0, 1]))
+
+
+def test_double_teleport_checks_phi_dims():
+    with pytest.raises(ValueError, match=r"phi must have dims \(3, 3\)"):
+        double_teleport(max_entangled(2), 0.5, 3, (0, 0))
 
 
 @pytest.mark.parametrize("scale, rejected", [(10, True), (0.1, False)])
@@ -430,3 +447,16 @@ def test_verify_locality_observation_trivial_cases():
     assert not verify_locality_observation(maxmix, np.eye(2), [0], {0, 1})
     out = double_teleport(max_entangled(2), 0.95, 2, (0, 0))
     assert horodecki_m(out.conditional_state) > 1  # 0.95^2 * 2sqrt2 > 2
+
+
+def test_verify_locality_observation_zero_outcome_and_bad_cut():
+    # C sits in |0>, so its |1><1| outcome has probability 0: inconclusive
+    zero = DensityMatrix((2,), np.diag([1.0, 0.0]))
+    one = np.diag([0.0, 1.0])
+    rho = tensor(max_entangled(2).density_matrix(), zero)
+    assert project_and_condition(rho, one, [2]) == (0.0, None)
+    assert verify_locality_observation(rho, one, [2], {0, 1}) is False
+    # a qubit-qutrit cut has no CHSH test
+    rho = tensor(erased(3.0), zero)
+    with pytest.raises(ValueError, match="two qubits"):
+        verify_locality_observation(rho, np.diag([1.0, 0.0]), [2], {0, 1})

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triact.protocols import build_symmetric_extension
-from triact.qcore import (ENTROPY_CUTOFF, HERMITICITY_TOL, PAULI_BASIS,
-                          TRACE_TOL, DensityMatrix, DimensionError, PureState,
-                          ValidationError, _kron, _spectrum,
-                          fidelity_pure, partial_trace, project_and_condition,
-                          tensor, von_neumann_entropy)
+from triact.qcore import (ENTROPY_CUTOFF, FIDELITY_TOL, HERMITICITY_TOL,
+                          PAULI_BASIS, TRACE_TOL, DensityMatrix,
+                          DimensionError, PureState, ValidationError, _kron,
+                          _spectrum, fidelity_pure, partial_trace,
+                          project_and_condition, tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
@@ -48,6 +48,15 @@ def test_density_matrix_rejects_bad_input():
         DensityMatrix((2,), np.diag([1e308, 1e308]))
 
 
+def test_containers_reject_bad_shapes():
+    with pytest.raises(ValidationError, match="expected a 2-d matrix"):
+        DensityMatrix((2,), [1, 0])
+    with pytest.raises(ValidationError, match="not square"):
+        DensityMatrix((2,), np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="amplitude length 3 != "):
+        PureState((2, 2), [1, 0, 0])
+
+
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("unit", [1, 1j])
 def test_hermiticity_gate_at_its_tolerance(scale, unit):
@@ -81,6 +90,11 @@ def test_cleaned_leaves_the_psd_gate_to_the_constructor():
         DensityMatrix.cleaned(np.diag([1 + 1e-6, -1e-6]), (2,))
     out = DensityMatrix.cleaned(np.diag([1 + 1e-12, -1e-12]), (2,))
     np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-11)
+
+
+def test_cleaned_rejects_non_positive_trace():
+    with pytest.raises(ValidationError, match="non-positive trace"):
+        DensityMatrix.cleaned(np.zeros((2, 2)), (2,))
 
 
 def test_tensor_identity_case():
@@ -337,6 +351,15 @@ def test_fidelity_pure_cases():
     # linearity over the isotropic mixture: p + (1-p)/d^2
     for p in (0.0, 0.3, 1.0):
         assert abs(fidelity_pure(isotropic(p, 2), psi) - (p + (1 - p) / 4)) < 1e-12
+
+
+def test_fidelity_above_its_tolerance_rejected():
+    # within the trace and PSD gates, yet <0|rho|0> = 1 + 1.9e-10
+    rho = DensityMatrix((2,), np.diag([1 + 1.9e-10, -0.95e-10]))
+    zero = PureState((2,), [1, 0])
+    assert rho.matrix[0, 0].real > 1 + FIDELITY_TOL
+    with pytest.raises(ValidationError, match="outside"):
+        fidelity_pure(rho, zero)
 
 
 def test_fidelity_dim_mismatch():

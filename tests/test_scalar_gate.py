@@ -22,8 +22,7 @@ from triact.protocols import (bell_state, build_symmetric_extension,
                               double_teleport, eq2_mixture, erased_protocol,
                               teleport_distribution)
 from triact.qcore import (DensityMatrix, DimensionError, PureState,
-                          partial_trace, project_and_condition,
-                          weyl_operators)
+                          partial_trace, project_and_condition)
 from triact.states import (RngSeed, erased, isotropic, max_entangled,
                            random_mixed_hs, random_pure_fs)
 
@@ -55,8 +54,6 @@ GATED = [
      ("0.3", None, NAN, 1.5), ValueError),
     ("make_d t", make_d, ("0.3", None, NAN, 1.5, -0.1), ValueError),
     ("make_erasure k", make_erasure, ("3", None, NAN, 0.5), ValueError),
-    ("weyl_operators d", weyl_operators, ("2", None, NAN, 0, 65, 2.5, 2.0),
-     ValueError),
     ("erased k", erased, ("3", None, NAN, 0.5), ValueError),
     ("isotropic p", isotropic, ("0.5", None, NAN, 1.2, -0.1), ValueError),
     ("isotropic d", lambda d: isotropic(0.5, d),
@@ -81,7 +78,7 @@ GATED = [
     ("PureState dims tuple", lambda dims: PureState(dims, unit(65 * 65)),
      (4225, None, (65, 65)), DimensionError),
     ("bell_state d", lambda d: bell_state(d, 1),
-     ("2", None, NAN, 1, 65, 2.5), ValueError),
+     ("2", None, NAN, 1, 65, 2.5, 2.0), ValueError),
     ("bell_state index", lambda i: bell_state(2, i), ("1", None, NAN, 4, -1),
      ValueError),
     ("double_teleport d", lambda d: double_teleport(PHI, 0.5, d, (0, 0)),
@@ -148,7 +145,6 @@ OVER_CAP = {
     "max_entangled": lambda: max_entangled(65),
     "isotropic": lambda: isotropic(0.5, 65),
     "bell_state": lambda: bell_state(65, 0),
-    "weyl_operators": lambda: weyl_operators(65),
     "random_mixed_hs": lambda: random_mixed_hs(4097, RngSeed(0)),
     "random_pure_fs": lambda: random_pure_fs(4097, RngSeed(0)),
 }
@@ -178,7 +174,6 @@ def test_over_cap_builder_raises_before_allocating(build):
 LARGE_D = {
     "max_entangled": lambda: max_entangled(32),
     "isotropic": lambda: isotropic(0.5, 32),
-    "weyl_operators": lambda: weyl_operators(32),
     "bell_state": lambda: bell_state(32, 0),
 }
 
