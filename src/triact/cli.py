@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
-        if args.config:
+        if args.config is not None:
             tokens = _with_config(args, argv)
             try:
                 args = build_parser().parse_args(tokens)

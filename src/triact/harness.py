@@ -212,7 +212,7 @@ def run_census(cfg: ExperimentConfig):
 
     def frac_se(count):
         f = count / n
-        return f, math.sqrt(max(f * (1 - f), 0.0) / n)
+        return f, math.sqrt(f * (1 - f) / n)
 
     f_nv, se_nv = frac_se(no_viol)
     f_nlr, se_nlr = frac_se(nlr)

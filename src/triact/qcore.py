@@ -145,6 +145,13 @@ def _checked_dims(dims) -> tuple:
     return dims, total
 
 
+def _owned(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, or a copy if it is a view of another array: a
+    container freezes the array it keeps, and freezing a view would leave
+    its base, and so the state, writable through the caller's array."""
+    return a if a.base is None else a.copy()
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector over an ordered list of subsystem dimensions."""
@@ -154,7 +161,10 @@ class PureState:
 
     def __post_init__(self):
         dims, total = _checked_dims(self.dims)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            amps = amps.reshape(-1)
+        amps = _owned(amps)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
         if amps.size != total:
@@ -180,7 +190,7 @@ class DensityMatrix:
     def __post_init__(self):
         dims, total = _checked_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        m = require_hermitian(self.matrix)
+        m = _owned(require_hermitian(self.matrix))
         if m.shape != (total, total):
             raise DimensionError(
                 f"matrix shape {m.shape} != ({total}, {total}) from dims {dims}")

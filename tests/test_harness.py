@@ -33,30 +33,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nope")
     with pytest.raises(ValueError):
-        ExperimentConfig(n_states=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="decoherence_sweep", n_time_steps=1)
-    with pytest.raises(ValueError):
         ExperimentConfig(channel="XY")
     # unhashable names are unknown names, not a TypeError
     for field in ("experiment", "channel", "output_format"):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig(**{field: []})
-    # every field is checked for every experiment, read or not
-    for field, bad in (("p", "x"), ("k", None), ("n_time_steps", -5)):
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig(experiment="census", **{field: bad})
-    for field in ("n_states", "n_time_steps", "seed", "threads"):
-        for bad in (2.5, 2.0, "2"):
-            with pytest.raises(ValueError, match=field):
-                ExperimentConfig(experiment="decoherence_sweep",
-                                 **{field: bad})
-    cfg = ExperimentConfig(n_states=np.int64(5), n_time_steps=np.uint8(3),
-                           seed=np.uint64(2**64 - 1), threads=np.int32(2))
-    assert ((cfg.n_states, cfg.n_time_steps, cfg.seed, cfg.threads)
-            == (5, 3, 2**64 - 1, 2))
-    assert all(type(v) is int for v in (cfg.n_states, cfg.n_time_steps,
-                                         cfg.seed, cfg.threads))
 
 
 def test_census_deterministic_csv(tmp_path):
@@ -425,8 +406,9 @@ def test_cli_config_values_parsed_as_flags(tmp_path, capsys):
 
 def test_cli_bad_arguments_exit_2(capsys):
     assert cli_main(["census", "--format", "xml"]) == 2
-    cfg_missing = cli_main(["census", "--config", "/nonexistent/file.cfg"])
-    assert cfg_missing == 2
+    # a missing config file, and an empty path, which names no file either
+    for path in ("/nonexistent/file.cfg", ""):
+        assert cli_main(["census", "--config", path]) == 2
     # flags a subcommand does not read, and --d, which none takes; no
     # subcommand, and one that does not exist
     for argv in (["census", "--steps", "5"], ["sweep", "--k", "2"],
@@ -440,7 +422,7 @@ def test_cli_bad_arguments_exit_2(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 11 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 12 and all(ln.startswith("error: ") for ln in lines)
     assert cli_main(["verify", "--p", "2"]) == 2
     # k below 1, and k where the erased success branch (1/(4k^2)) falls
     # under the zero-probability marker, or not finite

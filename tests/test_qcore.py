@@ -4,8 +4,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from triact.protocols import build_symmetric_extension
 from triact.qcore import (ENTROPY_CUTOFF, FIDELITY_TOL, HERMITICITY_TOL,
@@ -15,6 +13,9 @@ from triact.qcore import (ENTROPY_CUTOFF, FIDELITY_TOL, HERMITICITY_TOL,
                           project_and_condition, tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
+
+# 25 fixed seeds spread over [0, 500)
+PROPERTY_SEEDS = range(0, 500, 20)
 
 
 def mixed(seed, dims=(2, 2)):
@@ -90,6 +91,22 @@ def test_cleaned_leaves_the_psd_gate_to_the_constructor():
         DensityMatrix.cleaned(np.diag([1 + 1e-6, -1e-6]), (2,))
     out = DensityMatrix.cleaned(np.diag([1 + 1e-12, -1e-12]), (2,))
     np.testing.assert_allclose(out.matrix, np.diag([1.0, 0.0]), atol=1e-11)
+
+
+def test_containers_do_not_change_through_the_callers_array():
+    # a view of the caller's array is copied: freezing it would leave
+    # its base writable
+    v = np.array([[1, 0], [0, 0]], dtype=complex)
+    psi = PureState((2, 2), v)
+    w = np.diag([1.0, 0, 0, 0]).astype(complex)
+    rho = DensityMatrix((2, 2), w.T)
+    v[0, 0] = w[0, 0] = 5
+    assert psi.amplitudes[0] == 1 and rho.matrix.trace() == 1
+    # an array the container can own is frozen in place, not copied
+    m, u = np.eye(4, dtype=complex) / 4, np.array([1, 0], dtype=complex)
+    assert DensityMatrix((2, 2), m).matrix is m
+    assert PureState((2,), u).amplitudes is u
+    assert not (m.flags.writeable or u.flags.writeable)
 
 
 def test_cleaned_rejects_non_positive_trace():
@@ -205,16 +222,7 @@ def test_partial_trace_empty_keep_rejected():
         partial_trace(mixed(2), set())
 
 
-def test_partial_trace_rejects_non_integer_indices():
-    rho = mixed(3, dims=(2, 3))
-    for keep in ({0.7}, {1.9}, {1.0}, {"0"}):
-        with pytest.raises(ValueError, match="integers"):
-            partial_trace(rho, keep)
-    assert partial_trace(rho, {np.int64(1)}).dims == (3,)
-
-
-@given(st.integers(0, 500))
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 def test_partial_trace_inverts_tensor(seed):
     a, b = mixed(2 * seed), mixed(2 * seed + 1)
     back = partial_trace(tensor(a, b), {0, 1})
@@ -232,8 +240,7 @@ def test_entropy_isotropic_from_spectrum():
     assert abs(von_neumann_entropy(isotropic(0.5, 2)) - expected) < 1e-12
 
 
-@given(st.integers(0, 500))
-@settings(max_examples=25, deadline=None)
+@pytest.mark.parametrize("seed", PROPERTY_SEEDS)
 def test_entropy_additive_on_products(seed):
     a, b = mixed(3 * seed), mixed(3 * seed + 1)
     s = von_neumann_entropy(tensor(a, b))

@@ -28,19 +28,12 @@ def test_max_entangled_marginals():
                                        np.eye(d) / d, atol=1e-12)
 
 
-def test_max_entangled_rejects_small_d():
-    with pytest.raises(ValueError):
-        max_entangled(1)
-
-
 def test_isotropic_endpoints():
     psi = max_entangled(2)
     np.testing.assert_allclose(isotropic(1.0, 2).matrix,
                                psi.density_matrix().matrix, atol=1e-14)
     np.testing.assert_allclose(isotropic(0.0, 2).matrix, np.eye(4) / 4,
                                atol=1e-14)
-    with pytest.raises(ValueError):
-        isotropic(1.2, 2)
 
 
 def test_isotropic_literal_matrix():
@@ -99,11 +92,6 @@ def test_erased_cases():
     m = erased(2).matrix
     bell_block = m[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
     assert abs(np.trace(bell_block).real - 0.5) < 1e-12
-    # NaN must fail at the gate, not in the eigensolver's LinAlgError
-    # (also a ValueError)
-    for k in (0.5, np.nan):
-        with pytest.raises(ValueError, match="k must be"):
-            erased(k)
 
 
 def test_erased_marginals():
@@ -202,17 +190,6 @@ def test_philox_key_serves_only_a_philox_key_request():
         key.generate_state(4, np.uint64)   # what PCG64 asks for
     with pytest.raises(ValueError):
         key.generate_state(2, np.uint32)
-
-
-def test_rng_seed_takes_integers_in_uint64_range():
-    seed = RngSeed(np.int64(3), np.uint64(2**64 - 1))
-    assert (type(seed.seed), type(seed.stream_index)) == (int, int)
-    assert (seed.seed, seed.stream_index) == (3, 2**64 - 1)
-    bad = [(1.5, 0), (0, 1.0), ("1", 0), (None, 0), (-1, 0), (0, -1),
-           (2**64, 0), (0, 2**64)]
-    for s, i in bad:
-        with pytest.raises(ValueError):
-            RngSeed(s, i)
 
 
 def _literal_gaussian(rng, shape):
