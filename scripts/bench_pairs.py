@@ -140,7 +140,8 @@ def main(argv=None) -> None:
             "note": NOTE,
             "runs": [],
         }
-    if args.note:
+    # a second call on the same --out does not repeat its note
+    if args.note and not bench["note"].endswith(args.note):
         bench["note"] += " " + args.note
 
     new = []

@@ -20,7 +20,7 @@ from .harness import CHANNELS, ExperimentConfig, HarnessIOError, run
 CHANNEL_FLAGS = {name.lower().replace("_", "-"): name for name in CHANNELS}
 
 
-def _number(text: str):
+def number(text: str):
     """An int for integer text, else a float: ``extension`` takes only an
     integer k, ``verify`` any real one."""
     try:
@@ -38,7 +38,7 @@ _FIELD_SPEC = {
     "out": ("output_path", {}),
     "format": ("output_format", {"choices": ("csv", "json")}),
     "threads": ("threads", {"type": int}),
-    "k": ("k", {"type": _number}),
+    "k": ("k", {"type": number}),
     "p": ("p", {"type": float}),
 }
 

@@ -45,7 +45,8 @@ class ProtocolOutcome:
 
 
 def _weyl(d: int, k: int) -> np.ndarray:
-    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d."""
+    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, for a checked d;
+    built here, as no other module of the package reads it."""
     a, b = divmod(k, d)
     omega = np.exp(2j * np.pi / d)
     x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
@@ -84,8 +85,9 @@ def _swap(rho, proj, d_outer: int, d_bob: int):
     ``rho`` is the one shared state, ordered (outer party, Bob's share),
     and serves as both rho_{A B1} and rho_{C B2}.  The (A, C) matrix
     Tr_{B1 B2}[proj (rho_{A B1} (x) rho_{C B2})] is contracted without
-    the four-party array.  Returns ``(probability, state)``, or
-    ``(0.0, None)`` below ``ZERO_PROB``."""
+    the four-party array.  Both third-observer protocols end here, each
+    passing Bob's operator for its outcome.  Returns ``(probability,
+    state)``, or ``(0.0, None)`` below ``ZERO_PROB``."""
     pair = rho.reshape(d_outer, d_bob, d_outer, d_bob)
     proj = proj.reshape(d_bob, d_bob, d_bob, d_bob)
     ac = np.einsum("xyij,aibx,cjdy->acbd", proj, pair, pair)

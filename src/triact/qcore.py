@@ -116,7 +116,8 @@ def _items(value, name: str, length: int | None = None, *,
 # eigenvalues bit for bit without np.linalg's per-call set-up (about half
 # of a 4x4 eigvalsh). It skips np.linalg's errstate: the Hermiticity gate
 # has already rejected NaN and inf. Raw caller stacks (classify_batch)
-# keep np.linalg.eigvalsh and its LinAlgError.
+# keep np.linalg.eigvalsh and its LinAlgError; its three calls per stack
+# amortise the set-up.
 _eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 

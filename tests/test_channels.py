@@ -11,6 +11,8 @@ from triact.qcore import (COMPLETENESS_TOL, DensityMatrix, PureState,
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs
 
+from literals import weyl
+
 T_GRID = np.linspace(0.0, 1.0, 20)
 
 
@@ -20,15 +22,6 @@ def qubit(mat):
 
 def act(ch, mat):
     return apply(ch, qubit(mat), 0).matrix
-
-
-def weyl(d, k):
-    """The Heisenberg-Weyl unitary X^a Z^b, k = a*d + b, written out: X
-    the cyclic shift |j> -> |j + 1>, Z the clock diag(omega^j)."""
-    a, b = divmod(k, d)
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
-    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
 
 
 def make_depolarizing(p, d):

@@ -14,6 +14,8 @@ from triact.qcore import PAULI_BASIS, DensityMatrix, tensor
 from triact.states import (RngSeed, isotropic, max_entangled, random_mixed_hs,
                            random_pure_fs)
 
+from literals import haar_unitary
+
 MAXMIX = DensityMatrix((2, 2), np.eye(4) / 4)
 BELL = max_entangled(2).density_matrix()
 # sigma_i (x) sigma_j stacked as a (9, 4, 4) array, row-major in (i, j):
@@ -24,12 +26,6 @@ PAULI_KRON = np.array([np.kron(a, b) for a in PAULI_BASIS[1:]
 
 def mixed(i, seed=31):
     return random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2))
-
-
-def random_unitary(rng, d=2):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def chsh_value(rho, a, a2, b, b2):
@@ -344,13 +340,13 @@ def test_horodecki_local_unitary_invariance():
     rng = np.random.default_rng(4)
     for i in range(20):
         rho = mixed(i, seed=19)
-        u = np.kron(random_unitary(rng), random_unitary(rng))
+        u = np.kron(haar_unitary(rng), haar_unitary(rng))
         rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
         assert abs(horodecki_m(rho) - horodecki_m(rotated)) < 1e-9
     # classify_batch: every float field is invariant under U (x) V, and
     # each flag wherever its quantity is clear of the 1 and 0 boundaries
     mats = np.stack([mixed(i, seed=23).matrix for i in range(200)])
-    us = [np.kron(random_unitary(rng), random_unitary(rng))
+    us = [np.kron(haar_unitary(rng), haar_unitary(rng))
           for _ in range(len(mats))]
     got = classify_batch(mats)
     rot = classify_batch(np.stack([u @ m @ u.conj().T

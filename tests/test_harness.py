@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -211,11 +212,16 @@ def test_sweep_two_step_grid_endpoints():
 
 
 def test_sweep_deterministic_across_threads(tmp_path):
+    # CHUNK_SIZE + 4 states make two chunks, so threads=2 runs a real
+    # two-process pool.  On 5 steps about a quarter of the AD states are
+    # activated (none on 2 or 3), so records that left their place would
+    # show.
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path, threads in zip(paths, (1, 2)):
         run_decoherence_sweep(ExperimentConfig(
-            experiment="decoherence_sweep", n_states=60, n_time_steps=40,
-            channel="AD", seed=4, threads=threads, output_path=str(path)))
+            experiment="decoherence_sweep", n_states=harness.CHUNK_SIZE + 4,
+            n_time_steps=5, channel="AD", seed=4, threads=threads,
+            output_path=str(path)))
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -416,13 +422,17 @@ def test_cli_bad_arguments_exit_2(capsys):
                  ["iso-curve", "--seed", "5", "--d", "7", "--threads", "3",
                   "--n-states", "9"],
                  ["extension", "--out", "x.json"], ["census", "--d", "3"],
-                 [], ["scan"], ["census", "--n-states"]):
+                 [], ["scan"], ["census", "--n-states"],
+                 ["verify", "--k", "abc"]):
         assert cli_main(argv) == 2
-    # each bad input above: one error line and nothing on stdout
+    # each bad input above: one error line and nothing on stdout, and no
+    # line names a private identifier (argparse names a flag's type
+    # callable)
     out, err = capsys.readouterr()
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 12 and all(ln.startswith("error: ") for ln in lines)
+    assert len(lines) == 13 and all(ln.startswith("error: ") for ln in lines)
+    assert not any(re.search(r"(?<!\w)_\w", ln) for ln in lines)
     assert cli_main(["verify", "--p", "2"]) == 2
     # k below 1, and k where the erased success branch (1/(4k^2)) falls
     # under the zero-probability marker, or not finite

@@ -28,6 +28,8 @@ from triact.qcore import PureState
 from triact.states import (RngSeed, _isotropic_matrix, isotropic,
                            max_entangled, random_mixed_hs, random_pure_fs)
 
+from literals import haar_unitary
+
 N_STATES = 20000
 SWEEP_STATES = 7
 SWEEP_TS = np.linspace(0.0, 1.0, 201)
@@ -117,12 +119,6 @@ def test_pd_verbatim_is_pd_at_folded_strength(sweeps):
     for key in ("m_value", "s_a", "s_b", "s_ab"):
         dev = np.abs(sweeps["PD_verbatim"][key] - sweeps["PD_folded"][key])
         assert np.max(dev) <= 1e-12, key
-
-
-def haar_unitary(rng):
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def z_phases(rng):

@@ -17,15 +17,7 @@ from triact.qcore import (PSD_TOL, DensityMatrix, PureState, ValidationError,
                           tensor)
 from triact.states import erased, isotropic, max_entangled
 
-
-def weyl_unitaries(d):
-    """The d^2 Heisenberg-Weyl unitaries X^a Z^b ordered by k = a*d + b,
-    written out: X the cyclic shift |j> -> |j + 1>, Z the clock
-    diag(omega^j)."""
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
-    return [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-            for a in range(d) for b in range(d)]
+from literals import weyl
 
 
 def random_pure(rng, d):
@@ -55,7 +47,8 @@ def test_bell_state_equals_literal_formula():
     for d in (2, 3):
         psi = np.zeros((d, d), dtype=complex)
         psi[range(d), range(d)] = 1 / np.sqrt(d)
-        for k, w in enumerate(weyl_unitaries(d)):
+        for k in range(d * d):
+            w = weyl(d, k)
             want = psi @ w.T
             got = bell_state(d, k).amplitudes
             assert got.tobytes() == want.reshape(-1).tobytes()
@@ -68,10 +61,9 @@ def literal_double_teleport(phi, p, d, o1, o2):
     projections on (B1, F1) and (F2, B2), then the (A, C) marginal."""
     iso = isotropic(p, d)
     full = tensor(iso, phi.density_matrix(), iso)
-    ws = weyl_unitaries(d)
     psi = max_entangled(d).amplitudes.reshape(d, d)
-    v1 = (psi @ ws[o1].T).reshape(-1)
-    v2 = (ws[o2] @ psi).reshape(-1)
+    v1 = (psi @ weyl(d, o1).T).reshape(-1)
+    v2 = (weyl(d, o2) @ psi).reshape(-1)
     proj = np.kron(np.outer(v1, v1.conj()), np.outer(v2, v2.conj()))
     prob, cond = project_and_condition(full, proj, (1, 2, 3, 4))
     return prob, partial_trace(cond, {0, 5}).matrix
@@ -85,8 +77,7 @@ def test_double_teleport_matches_literal_network():
         phi = random_pure(rng, d)
         p = rng.uniform()
         prob, ac = literal_double_teleport(phi, p, d, o1, o2)
-        ws = weyl_unitaries(d)
-        u = np.kron(ws[o1], ws[o2])
+        u = np.kron(weyl(d, o1), weyl(d, o2))
         out = double_teleport(phi, p, d, (o1, o2))
         assert out.outcome_labels == (o1, o2)
         assert abs(out.success_probability - prob) <= 1e-10
@@ -127,11 +118,10 @@ def test_double_teleport_matches_eq2_mixture():
 def test_double_teleport_corrected_branches():
     rng = np.random.default_rng(3)
     phi = random_pure(rng, 2)
-    ws = weyl_unitaries(2)
     for o1 in range(4):
         for o2 in range(4):
             # The teleportation correction W_o1 (x) W_o2, local to A and C.
-            u = np.kron(ws[o1], ws[o2])
+            u = np.kron(weyl(2, o1), weyl(2, o2))
             rho = double_teleport(phi, 1.0, 2, (o1, o2)).conditional_state
             corrected = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
             assert abs(fidelity_pure(corrected, phi) - 1) < 1e-9
