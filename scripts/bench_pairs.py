@@ -14,8 +14,11 @@ and its last stdout line is its contract.
 An existing --out file (same parent) keeps its runs and gains the new
 ones, so one file can hold several workloads.  The file is rewritten
 after every run.  At the end the script prints, per metric, each side's
-median and quartiles and the number of pairs the change won (ties count
-for neither side), reading each metric's direction from BENCHMARK.json.
+median and quartiles, the number of pairs the change won (ties count
+for neither side), reading each metric's direction from BENCHMARK.json,
+and whether a claimed gain on that metric is met: the change won at
+least 9 in 10 of the pairs, and its median beats the parent's by more
+than the parent's quartile spread (q3 - q1).
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _summary(spec: dict, runs: list[dict]) -> None:
         print(f"{side}: correct in {ok} of {len(pairs)} runs, "
               f"{failed} of {attempted} operations failed")
     print(f"{'metric':32} {'parent median [q1, q3]':>32} "
-          f"{'change median [q1, q3]':>32}  change wins")
+          f"{'change median [q1, q3]':>32}  change wins  claim")
     for name in pairs[0]["parent"]["metrics"]:
         cols = []
         vals = {}
@@ -102,8 +105,11 @@ def _summary(spec: dict, runs: list[dict]) -> None:
         sign = -1 if better.get(name) == "lower" else 1
         wins = sum(sign * (c - p) > 0
                    for p, c in zip(vals["parent"], vals["change"]))
+        p_med, p_q1, p_q3 = _quartiles(vals["parent"])
+        gap = sign * (_quartiles(vals["change"])[0] - p_med)
+        met = 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1
         print(f"{name:32} {cols[0]:>32} {cols[1]:>32}  "
-              f"{wins}/{len(pairs)}")
+              f"{f'{wins}/{len(pairs)}':>11}  {'met' if met else 'not met'}")
 
 
 def main(argv=None) -> None:

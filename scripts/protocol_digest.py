@@ -5,8 +5,10 @@ every `bell_state` at d = 2 to 8 (beyond d = 3, past the Bell bra
 table the protocols build at import).  Then the scalar criteria no CLI
 command reaches: one sha256 line each for the `classify` fields (value
 and type) and the `correlation_matrix` bytes over fixed HS, isotropic
-and decohered states, and one line of `verify_locality_observation`
-outcomes, one digit each.
+and decohered states, one line of `verify_locality_observation`
+outcomes, one digit each, and one sha256 line of `von_neumann_entropy`
+beyond two qubits: erased(k) at the k above, d = 3 isotropic states, the
+k = 4 symmetric extension and its (A, B_i) marginals.
 
 Usage: PYTHONPATH=src python scripts/protocol_digest.py
 
@@ -21,10 +23,13 @@ import numpy as np
 
 from triact.channels import apply, local_decohere, make_ad, make_d, make_pd
 from triact.criteria import classify, correlation_matrix
-from triact.protocols import (bell_state, double_teleport, erased_protocol,
+from triact.protocols import (bell_state, build_symmetric_extension,
+                              double_teleport, erased_protocol,
                               verify_locality_observation)
-from triact.qcore import DensityMatrix, PureState, tensor
-from triact.states import RngSeed, isotropic, random_mixed_hs, random_pure_fs
+from triact.qcore import (DensityMatrix, PureState, partial_trace, tensor,
+                          von_neumann_entropy)
+from triact.states import (RngSeed, erased, isotropic, random_mixed_hs,
+                           random_pure_fs)
 
 N_PHI = 40
 ERASED_K = (1, 2, 3, 7.5)
@@ -64,6 +69,7 @@ def main():
             digest.update(bell_state(d, index).amplitudes.tobytes())
         print(f"bell_state d={d} {digest.hexdigest()}")
     criteria_digests()
+    entropy_digest()
 
 
 def tie_band():
@@ -111,6 +117,17 @@ def criteria_digests():
                                                        {0, 1})))
                    for rho, proj in cases)
     print(f"verify_locality_observation {bits}")
+
+
+def entropy_digest():
+    ext = build_symmetric_extension(4)
+    states = [erased(k) for k in ERASED_K]
+    states += [isotropic(p, 3) for p in np.linspace(0.0, 1.0, 101)]
+    states += [ext] + [partial_trace(ext, {0, i}) for i in range(1, 5)]
+    digest = hashlib.sha256()
+    for rho in states:
+        digest.update(np.float64(von_neumann_entropy(rho)).tobytes())
+    print(f"von_neumann_entropy {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

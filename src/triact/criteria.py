@@ -128,25 +128,31 @@ def classify(rho: DensityMatrix) -> Classification:
     return Classification(**{k: v.item() for k, v in fields.items()})
 
 
-def classify_batch(mats: np.ndarray):
+def classify_batch(mats: np.ndarray, spectra: np.ndarray | None = None):
     """Vectorized `classify` over a stack of two-qubit matrices (n, 4, 4).
 
     Returns a dict of arrays with the Classification fields.  Used by the
     Monte Carlo harness; agrees with `classify` entry by entry.  T is
     `correlation_matrix`'s, and the marginals are sums of slices of the
-    stack, bit-identical to np.trace.
+    stack, bit-identical to np.trace.  ``spectra``, an (n, 4) stack of the
+    matrices' ascending eigenvalues (each `DensityMatrix.spectrum`), takes
+    the place of the stack's own eigensolve for S_AB.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (4, 4):
         raise ValueError(f"expected an (n, 4, 4) stack of two-qubit "
                          f"matrices, got shape {mats.shape}")
     n = mats.shape[0]
+    if spectra is None:
+        spectra = np.linalg.eigvalsh(mats)
+    elif np.shape(spectra) != (n, 4):
+        raise ValueError(f"spectra must be an ({n}, 4) stack, got shape "
+                         f"{np.shape(spectra)}")
     corr = _correlation_stack(mats)
     tt = np.einsum("nji,njk->nik", corr, corr)
     w = np.linalg.eigvalsh(tt)
 
-    def entropy(stack):
-        ev = np.linalg.eigvalsh(stack)
+    def entropy(ev):
         ev = np.clip(ev, 0.0, None)
         safe = np.where(ev > ENTROPY_CUTOFF, ev, 1.0)
         return -np.sum(ev * np.log2(safe), axis=-1)
@@ -155,8 +161,8 @@ def classify_batch(mats: np.ndarray):
     marginals = np.empty((2, n, 2, 2), dtype=complex)
     np.add(t[:, :, 0, :, 0], t[:, :, 1, :, 1], out=marginals[0])  # rho_A
     np.add(t[:, 0, :, 0, :], t[:, 1, :, 1, :], out=marginals[1])  # rho_B
-    s_a, s_b = entropy(marginals)
-    return _fields(w[:, -1] + w[:, -2], s_a, s_b, entropy(mats))
+    s_a, s_b = entropy(np.linalg.eigvalsh(marginals))
+    return _fields(w[:, -1] + w[:, -2], s_a, s_b, entropy(spectra))
 
 
 def maximize_chsh(rho: DensityMatrix):

@@ -195,10 +195,15 @@ def _run_chunked(worker, cfg: ExperimentConfig, *args):
 # ---------------------------------------------------------------- census
 
 def _census_chunk(seed: int, indices):
+    # each state's spectrum, solved by its PSD gate, stands in for
+    # classify_batch's own 4x4 eigensolve
     mats = np.empty((len(indices), 4, 4), dtype=complex)
+    spectra = np.empty((len(indices), 4))
     for j, i in enumerate(indices):
-        mats[j] = random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2)).matrix
-    return criteria.classify_batch(mats)
+        rho = random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2))
+        mats[j] = rho.matrix
+        spectra[j] = rho.spectrum
+    return criteria.classify_batch(mats, spectra)
 
 
 def run_census(cfg: ExperimentConfig):
@@ -354,8 +359,8 @@ def run_protocol_verify(cfg: ExperimentConfig):
     k = cfg.k
     outs = [protocols.erased_protocol(k, bell_outcome=b) for b in range(4)]
     teleported = [protocols.double_teleport(phi, p, 2, (0, 0)) for p in ps]
-    chsh = criteria.classify_batch(np.stack([
-        out.conditional_state.matrix for out in teleported + outs]))["chsh_max"]
+    chsh = _classify_states([out.conditional_state
+                             for out in teleported + outs])["chsh_max"]
     worst = np.max(np.abs(chsh[:len(ps)] - 2 * math.sqrt(2) * ps * ps))
     checks.append(_check("activated_chsh_vs_2sqrt2_p2", worst, 1e-9))
 
@@ -385,6 +390,13 @@ def run_protocol_verify(cfg: ExperimentConfig):
     if cfg.output_path:
         _write_atomic(cfg.output_path, json.dumps(summary, indent=1) + "\n")
     return summary
+
+
+def _classify_states(states) -> dict:
+    """`classify_batch` over validated two-qubit states, with their
+    spectra."""
+    return criteria.classify_batch(np.stack([s.matrix for s in states]),
+                                   np.stack([s.spectrum for s in states]))
 
 
 def _random_pure(rng, d: int):
@@ -424,10 +436,9 @@ def run_iso_curve(cfg: ExperimentConfig):
     cls = criteria.classify_batch(np.stack([_isotropic_matrix(p, 2)
                                             for p in ps]))
     phi = max_entangled(2)
-    conditional = np.stack([
-        protocols.double_teleport(phi, float(p), 2, (0, 0))
-        .conditional_state.matrix for p in ps])
-    act = criteria.classify_batch(conditional)
+    act = _classify_states([
+        protocols.double_teleport(phi, float(p), 2, (0, 0)).conditional_state
+        for p in ps])
     cols = {
         "p": ps,
         "m_value": cls["m_value"],

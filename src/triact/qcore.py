@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Collection, Sequence
 
@@ -116,7 +116,7 @@ def _items(value, name: str, length: int | None = None, *,
 # eigenvalues bit for bit without np.linalg's per-call set-up (about half
 # of a 4x4 eigvalsh). It skips np.linalg's errstate: the Hermiticity gate
 # has already rejected NaN and inf. Raw caller stacks (classify_batch)
-# keep np.linalg.eigvalsh and its LinAlgError; its three calls per stack
+# keep np.linalg.eigvalsh and its LinAlgError; its calls per stack
 # amortise the set-up.
 _eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
@@ -126,12 +126,14 @@ def _spectrum(m: np.ndarray) -> np.ndarray:
     return _eigvalsh_lo(m, signature="D->d")
 
 
-def _require_psd(m: np.ndarray) -> None:
+def _require_psd(m: np.ndarray) -> np.ndarray:
     """The one PSD gate: the Hermitian ``m`` may have no eigenvalue below
-    -PSD_TOL, else ValidationError."""
-    lo = float(_spectrum(m)[0])
+    -PSD_TOL, else ValidationError.  Returns the ascending eigenvalues."""
+    w = _spectrum(m)
+    lo = float(w[0])
     if not lo >= -PSD_TOL:
         raise ValidationError(f"matrix not PSD: min eigenvalue {lo:.3e}")
+    return w
 
 
 def _checked_dims(dims) -> tuple:
@@ -183,10 +185,15 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over registered subsystem dims."""
+    """Hermitian, PSD, unit-trace matrix over registered subsystem dims.
+
+    ``spectrum`` holds the ascending eigenvalues the PSD gate solved for,
+    read-only; it is derived from ``matrix``, so it is neither passed in
+    nor shown or compared."""
 
     dims: tuple
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims, total = _checked_dims(self.dims)
@@ -201,9 +208,10 @@ class DensityMatrix:
         tr = sum(m.diagonal().tolist())
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace is {tr}, expected 1")
-        _require_psd(m)
+        w = _require_psd(m)
         object.__setattr__(self, "matrix", m)
-        m.flags.writeable = False
+        object.__setattr__(self, "spectrum", w)
+        m.flags.writeable = w.flags.writeable = False
 
     @classmethod
     def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":
@@ -258,7 +266,7 @@ def partial_trace(rho: DensityMatrix, keep: Collection[int]) -> DensityMatrix:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -Tr(rho log2 rho), in bits; 0 log 0 := 0."""
-    w = _spectrum(rho.matrix)
+    w = rho.spectrum
     w = w[w > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 

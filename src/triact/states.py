@@ -33,10 +33,11 @@ class RngSeed:
     stream_index: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_index"):
-            object.__setattr__(self, name, _checked(
-                getattr(self, name), name, 0, 2**64, integer=True,
-                hi_open=True))
+        object.__setattr__(self, "seed", _checked(
+            self.seed, "seed", 0, 2**64, integer=True, hi_open=True))
+        object.__setattr__(self, "stream_index", _checked(
+            self.stream_index, "stream_index", 0, 2**64, integer=True,
+            hi_open=True))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_index], dtype=np.uint64)
@@ -124,10 +125,12 @@ def erased(k: float) -> DensityMatrix:
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     # both blocks in one draw, real block first: the same draws as two
-    # calls of ``shape`` each, written into one complex array
+    # calls of ``shape`` each, written into one complex array block by
+    # block (tuple-unpacking the draw would iterate it in Python)
     draws = rng.standard_normal((2, *shape))
     z = np.empty(shape, dtype=complex)
-    z.real, z.imag = draws
+    z.real = draws[0]
+    z.imag = draws[1]
     return z
 
 
@@ -140,7 +143,7 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
     g = _complex_gaussian(rng.generator(), (d_total, d_total))
     m = np.dot(g, g.conj().T)  # the zgemm of @, without matmul's set-up
-    m /= m.trace().real
+    m /= m.diagonal().sum().real  # ndarray.trace's reduction, unwrapped
     return DensityMatrix(dims if dims is not None else (d_total,), m)
 
 

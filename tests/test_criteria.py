@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from triact import criteria
+from triact import criteria, harness
 from triact.channels import local_decohere, two_qubit_kraus_stack
 from triact.criteria import (TIE_TOLERANCE, Classification, classify,
                              classify_batch, correlation_matrix,
                              hashing_criterion, horodecki_m, maximize_chsh)
-from triact.harness import CHANNELS, _sweep_chunk
+from triact.harness import CHANNELS, ExperimentConfig, _sweep_chunk
 from triact.protocols import verify_locality_observation
 from triact.qcore import PAULI_BASIS, DensityMatrix, tensor
 from triact.states import (RngSeed, isotropic, max_entangled, random_mixed_hs,
@@ -288,6 +288,60 @@ def test_classify_batch_requires_stack_of_4x4():
     for shape in ((4, 4), (3, 3, 3), (2, 4, 4, 1), (2, 4, 2)):
         with pytest.raises(ValueError, match=r"\(n, 4, 4\) stack"):
             classify_batch(np.zeros(shape))
+
+
+def spectra_batches(monkeypatch):
+    """The (mats, spectra) pairs the harness hands `classify_batch`: one
+    4096-state census chunk, then the verify batch and the iso-curve's
+    201 conditional states; batches without spectra are left out."""
+    calls = []
+
+    def recording(mats, spectra=None):
+        if spectra is not None:
+            calls.append((mats, spectra))
+        return classify_batch(mats, spectra)
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "classify_batch", recording)
+        harness._census_chunk(0, range(4096))
+        harness.run_protocol_verify(ExperimentConfig(experiment="protocol_verify"))
+        harness.run_iso_curve(ExperimentConfig(experiment="iso_curve"))
+    assert [len(mats) for mats, _ in calls] == [4096, 15, 201]
+    return calls
+
+
+def test_classify_batch_with_spectra_is_bit_identical(monkeypatch):
+    # The states' own spectra are np.linalg.eigvalsh of the stack bit for
+    # bit, so every field keeps its bytes.
+    for mats, spectra in spectra_batches(monkeypatch):
+        assert spectra.tobytes() == np.linalg.eigvalsh(mats).tobytes()
+        got, want = classify_batch(mats, spectra), classify_batch(mats)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_classify_batch_rejects_misshapen_spectra():
+    mats = np.stack([mixed(i).matrix for i in range(3)])
+    for shape in ((3, 3), (2, 4), (12,), (3, 4, 1)):
+        with pytest.raises(ValueError, match=r"^spectra must be an \(3, 4\)"):
+            classify_batch(mats, np.zeros(shape))
+
+
+def test_census_classifies_with_two_eigensolves(monkeypatch):
+    # T^T T and the stacked marginals; S_AB reads the sampled states'
+    # spectra, and the samplers' PSD gate does not go through np.linalg.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    harness._census_chunk(0, range(64))
+    assert calls == [(64, 3, 3), (2, 64, 2, 2)]
 
 
 def test_chsh_value_bell_optimal_settings():

@@ -141,15 +141,18 @@ def test_csv_cells_match_per_value_fmt(tmp_path):
 
 def test_census_chunk_classifies_the_stacked_states(monkeypatch):
     """``_census_chunk`` hands ``classify_batch`` the bytes of
-    ``np.stack`` of the chunk's sampled matrices."""
-    monkeypatch.setattr(criteria, "classify_batch", lambda mats: mats)
+    ``np.stack`` of the chunk's sampled matrices and of their spectra."""
+    monkeypatch.setattr(criteria, "classify_batch",
+                        lambda mats, spectra: (mats, spectra))
     indices = [0, 1, 2, 4095, 4096, 9999]
     got = harness._census_chunk(12, indices)
-    want = np.stack([harness.random_mixed_hs(4, RngSeed(12, i),
-                                             dims=(2, 2)).matrix
-                     for i in indices])
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
+    states = [harness.random_mixed_hs(4, RngSeed(12, i), dims=(2, 2))
+              for i in indices]
+    want = (np.stack([rho.matrix for rho in states]),
+            np.stack([rho.spectrum for rho in states]))
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 def test_json_table_matches_json_dumps(tmp_path):

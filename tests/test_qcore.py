@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 import warnings
 from functools import reduce
@@ -12,7 +14,7 @@ from triact.qcore import (ENTROPY_CUTOFF, FIDELITY_TOL, HERMITICITY_TOL,
                           _spectrum, fidelity_pure, partial_trace,
                           project_and_condition, tensor, von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
-    random_mixed_hs
+    random_mixed_hs, random_pure_fs
 
 # 25 fixed seeds spread over [0, 500)
 PROPERTY_SEEDS = range(0, 500, 20)
@@ -261,15 +263,61 @@ def _gate_inputs():
     yield build_symmetric_extension(4).matrix
 
 
+def _spectrum_states():
+    """HS states, pure states, d = 3 isotropic states and the k = 4
+    symmetric extension."""
+    yield from (mixed(i, dims) for i in range(5)
+                for dims in ((2,), (2, 2), (2, 3)))
+    yield from (max_entangled(d).density_matrix() for d in (2, 3))
+    yield from (random_pure_fs(d, RngSeed(5, d)).density_matrix()
+                for d in (2, 4, 6))
+    yield from (isotropic(p, 3) for p in (0.0, 0.3, 0.25, 1.0))
+    yield build_symmetric_extension(4)
+
+
 def test_spectrum_is_np_linalg_eigvalsh_bit_for_bit():
     # The PSD gate's kernel calls numpy's gufunc without np.linalg's
     # wrapper; the eigenvalues, and so every accept/reject, must not move.
+    # DensityMatrix keeps the gate's eigenvalues as its spectrum.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for m in _gate_inputs():
-            got, want = _spectrum(m), np.linalg.eigvalsh(m)
+        cases = [(m, _spectrum(m)) for m in _gate_inputs()]
+        cases += [(rho.matrix, rho.spectrum) for rho in _spectrum_states()]
+        for m, got in cases:
+            want = np.linalg.eigvalsh(m)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), m.shape
+
+
+def test_spectrum_is_a_read_only_derived_field():
+    rho = mixed(3)
+    assert not rho.spectrum.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rho.spectrum[0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.spectrum = np.zeros(4)
+    with pytest.raises(TypeError, match="spectrum"):
+        DensityMatrix((2, 2), rho.matrix, spectrum=rho.spectrum)
+    # not shown, and not compared: two states of one matrix are equal
+    # whatever their spectra
+    assert "spectrum" not in repr(rho)
+    assert [f.name for f in dataclasses.fields(rho) if f.compare] == [
+        "dims", "matrix"]
+    small = DensityMatrix((1,), np.ones((1, 1)))
+    other = DensityMatrix((1,), np.ones((1, 1)))
+    object.__setattr__(other, "spectrum", np.array([0.5]))
+    assert small == other
+
+
+def test_spectrum_survives_replace_and_pickle():
+    rho = mixed(4)
+    swapped = dataclasses.replace(rho, dims=(4,))
+    assert swapped.spectrum.tobytes() == rho.spectrum.tobytes()
+    assert not swapped.spectrum.flags.writeable
+    back = pickle.loads(pickle.dumps(rho))
+    assert back.spectrum.dtype == rho.spectrum.dtype
+    assert back.spectrum.tobytes() == rho.spectrum.tobytes()
+    assert back.matrix.tobytes() == rho.matrix.tobytes()
 
 
 def test_entropy_is_the_np_linalg_formula_bit_for_bit():
