@@ -30,6 +30,7 @@ experiments=(
     "sweep_d1000 sweep --channel d --n-states 100 --steps 1000 --format json --out sweep_d1000.json"
     "sweep_pd1000 sweep --channel pd --n-states 100 --steps 1000 --format json --out sweep_pd1000.json"
     "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"
+    "sweep_d_t2 sweep --channel d --n-states 2000 --steps 100 --threads 2 --out sweep_d_t2.csv"
     "verify verify --out verify.json"
     "verify_k verify --seed 3 --k 7.5 --p 0.35 --out verify_k.json"
     "verify_p1 verify --p 1 --out verify_p1.json"

@@ -31,7 +31,10 @@ CHANNELS = {
     "D": channels.make_d,
 }
 
-CHUNK_SIZE = 4096  # states per census or sweep chunk, one worker task
+CHUNK_SIZE = 4096  # states per census chunk, one worker task
+# States per sweep chunk: the paper's 2000-state sweep makes four, so two
+# workers share it, and perfbench's 25-state sweep stays one.
+SWEEP_CHUNK_SIZE = 500
 
 
 class HarnessIOError(OSError):
@@ -171,16 +174,17 @@ def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
     _write_atomic(cfg.output_path, text)
 
 
-def _chunks(n: int):
-    for lo in range(0, n, CHUNK_SIZE):
-        yield range(lo, min(lo + CHUNK_SIZE, n))
+def _chunks(n: int, size: int):
+    for lo in range(0, n, size):
+        yield range(lo, min(lo + size, n))
 
 
-def _run_chunked(worker, cfg: ExperimentConfig, *args):
-    """Map worker(seed, indices, *args) over the index chunks of the
-    n_states, in processes when threads > 1 and there is more than one
-    chunk."""
-    chunk_args = [(cfg.seed, idx, *args) for idx in _chunks(cfg.n_states)]
+def _run_chunked(worker, cfg: ExperimentConfig, size: int, *args):
+    """Map worker(seed, indices, *args) over the index chunks of ``size``
+    states of the n_states, in processes when threads > 1 and there is
+    more than one chunk."""
+    chunk_args = [(cfg.seed, idx, *args)
+                  for idx in _chunks(cfg.n_states, size)]
     # Every worker of the pool is started on the first submit, so never
     # ask for more of them than there are chunks or CPUs.
     workers = min(cfg.threads, len(chunk_args), os.cpu_count() or 1)
@@ -208,7 +212,7 @@ def _census_chunk(seed: int, indices):
 
 def run_census(cfg: ExperimentConfig):
     """Classify n_states Hilbert-Schmidt-random two-qubit states."""
-    parts = _run_chunked(_census_chunk, cfg)
+    parts = _run_chunked(_census_chunk, cfg, CHUNK_SIZE)
     n = cfg.n_states
     cols = {"state_index": np.arange(n),
             **{f: np.concatenate([p[f] for p in parts]) for f in parts[0]}}
@@ -246,10 +250,18 @@ def _superoperators(ops: np.ndarray) -> np.ndarray:
     S_t[(a, b), (c, d)] = sum_k E_k[a, c] conj(E_k[b, d]), 4 KB per grid
     point.  With them a state costs one (16, 16) product per t, whatever
     the channel's Kraus count.  Built a block of SUPEROP_BLOCK grid points
-    at a time, which bounds the temporaries."""
+    at a time, which bounds the temporaries.
+
+    A writeable stack of 16 operators per t (D's) holds exactly the maps'
+    4 KB per grid point, so each block of maps is written over the block
+    of operators it was built from, which no later block reads: the maps
+    are then the stack's memory, and the stack is spent."""
     n = len(ops)
     rows = ops.reshape(n, -1, 16)
-    sup = np.empty((n, 4, 4, 4, 4), dtype=complex)
+    if rows.shape[1] == 16 and rows.flags.writeable:
+        sup = rows.reshape(n, 4, 4, 4, 4)
+    else:
+        sup = np.empty((n, 4, 4, 4, 4), dtype=complex)
     for lo in range(0, n, SUPEROP_BLOCK):
         blk = rows[lo:lo + SUPEROP_BLOCK]
         # [(a, c), (b, d)] per t, realigned into [(a, b), (c, d)]
@@ -260,7 +272,7 @@ def _superoperators(ops: np.ndarray) -> np.ndarray:
 
 
 def _sweep_chunk(seed: int, indices, channel: str, ts: np.ndarray):
-    # the Kraus stack lives only while the maps are built
+    # the Kraus stack lives only while the maps are built (D's becomes them)
     sup = _superoperators(
         channels.two_qubit_kraus_stack(CHANNELS[channel], ts))
     out = []
@@ -300,7 +312,8 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
     """Locally decohere FS-random pure states over a t grid and track the
     interval where they are nonlocal resources."""
     ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
-    parts = _run_chunked(_sweep_chunk, cfg, cfg.channel, ts)
+    parts = _run_chunked(_sweep_chunk, cfg, SWEEP_CHUNK_SIZE, cfg.channel,
+                         ts)
     cols = {"state_index": np.arange(cfg.n_states),
             **_interval_columns(np.concatenate(parts, axis=0), ts)}
     widths, activated = cols["width"], cols["activated"]

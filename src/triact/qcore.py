@@ -18,7 +18,6 @@ from functools import reduce
 from typing import Collection, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 # Validation tolerances for state containers.
 HERMITICITY_TOL = 1e-10
@@ -117,13 +116,17 @@ def _items(value, name: str, length: int | None = None, *,
 # of a 4x4 eigvalsh). It skips np.linalg's errstate: the Hermiticity gate
 # has already rejected NaN and inf. Raw caller stacks (classify_batch)
 # keep np.linalg.eigvalsh and its LinAlgError; its calls per stack
-# amortise the set-up.
-_eigvalsh_lo = _umath_linalg.eigvalsh_lo
-
-
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a validated complex Hermitian ``m``."""
-    return _eigvalsh_lo(m, signature="D->d")
+# amortise the set-up. The gufunc's name is numpy-internal: a numpy
+# without it gets np.linalg.eigvalsh itself, which runs the same loop on
+# a complex matrix, so the bits stay and only the set-up comes back.
+try:
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+except ImportError:
+    _spectrum = np.linalg.eigvalsh
+else:
+    def _spectrum(m: np.ndarray) -> np.ndarray:
+        """Ascending eigenvalues of a validated complex Hermitian ``m``."""
+        return _eigvalsh_lo(m, signature="D->d")
 
 
 def _require_psd(m: np.ndarray) -> np.ndarray:

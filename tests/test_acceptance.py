@@ -58,7 +58,7 @@ def sweep_summaries():
     for ch in ("AD", "PD", "PD_verbatim", "D"):
         out[ch] = run_decoherence_sweep(ExperimentConfig(
             experiment="decoherence_sweep", n_states=2000, n_time_steps=1000,
-            channel=ch, seed=SEED))
+            channel=ch, seed=SEED, threads=2))
     return out
 
 

@@ -84,6 +84,16 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_census(census_cfg(n_states=4100, threads=1000))
     assert built == [2, 2]
+    # a sweep has chunks of its own size: one state more makes two (its
+    # chunks are stubbed, so this counts chunks only)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(harness, "_sweep_chunk", lambda seed, idx, ch, ts:
+                        np.zeros((len(idx), len(ts)), dtype=bool))
+    for n_states in (harness.SWEEP_CHUNK_SIZE, harness.SWEEP_CHUNK_SIZE + 1):
+        run_decoherence_sweep(ExperimentConfig(
+            experiment="decoherence_sweep", n_states=n_states,
+            n_time_steps=2, channel="AD", threads=1000))
+    assert built == [2, 2, 2]
 
 
 def test_census_bookkeeping_identity():
@@ -215,14 +225,15 @@ def test_sweep_two_step_grid_endpoints():
 
 
 def test_sweep_deterministic_across_threads(tmp_path):
-    # CHUNK_SIZE + 4 states make two chunks, so threads=2 runs a real
+    # SWEEP_CHUNK_SIZE + 4 states make two chunks, so threads=2 runs a real
     # two-process pool.  On 5 steps about a quarter of the AD states are
     # activated (none on 2 or 3), so records that left their place would
     # show.
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path, threads in zip(paths, (1, 2)):
         run_decoherence_sweep(ExperimentConfig(
-            experiment="decoherence_sweep", n_states=harness.CHUNK_SIZE + 4,
+            experiment="decoherence_sweep",
+            n_states=harness.SWEEP_CHUNK_SIZE + 4,
             n_time_steps=5, channel="AD", seed=4, threads=threads,
             output_path=str(path)))
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -230,8 +241,8 @@ def test_sweep_deterministic_across_threads(tmp_path):
 
 def test_sweep_chunk_memory_bound():
     # 25 depolarized states on the paper's 1000-step grid: the Kraus
-    # stack (4 MB), the per-t superoperators (4 KB per step) and one
-    # state's stacks.
+    # stack (4 MB), which the per-t superoperators (4 KB per step)
+    # overwrite, and one state's stacks.
     ts = np.linspace(0.0, 1.0, 1000)
     tracemalloc.start()
     try:
@@ -239,7 +250,26 @@ def test_sweep_chunk_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 6e6
+
+
+@pytest.mark.parametrize("channel", harness.CHANNELS)
+def test_superoperators_overwrite_exactly_16_row_stacks(channel):
+    """The maps of a Kraus stack are, bit for bit, those a new array gets
+    from a read-only copy of it, on a grid whose last block is short; they
+    are the stack's own memory exactly when it holds 16 operators per t
+    (D's), and a fresh array for AD's and PD's 4."""
+    stack = channels.two_qubit_kraus_stack(harness.CHANNELS[channel],
+                                           np.linspace(0.0, 1.0, 150))
+    frozen = stack.copy()
+    frozen.flags.writeable = False
+    want = harness._superoperators(frozen)
+    assert not np.shares_memory(want, frozen)
+    got = harness._superoperators(stack)
+    assert got.shape == want.shape == (150, 16, 16)
+    assert got.tobytes() == want.tobytes()
+    assert np.shares_memory(got, stack) == (stack.shape[1] == 16)
+    assert (stack.shape[1] == 16) == (channel == "D")
 
 
 def test_sweep_trajectory_matches_batch_sweep(tmp_path):

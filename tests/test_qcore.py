@@ -1,8 +1,12 @@
 import dataclasses
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,31 @@ def test_spectrum_is_np_linalg_eigvalsh_bit_for_bit():
             want = np.linalg.eigvalsh(m)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), m.shape
+
+
+def test_spectrum_falls_back_to_np_linalg_eigvalsh():
+    """A numpy whose gufunc module has no ``eigvalsh_lo`` gets
+    np.linalg.eigvalsh bound at import, with the direct binding's bits;
+    this numpy keeps the direct binding."""
+    import triact
+    src = str(Path(triact.__file__).resolve().parents[1])
+    code = textwrap.dedent(f"""
+        import sys, types
+        import numpy as np
+        stub = types.ModuleType("numpy.linalg._umath_linalg")
+        sys.modules["numpy.linalg._umath_linalg"] = stub
+        sys.path.insert(0, {src!r})
+        from triact import qcore
+        from triact.states import RngSeed, random_mixed_hs
+        assert qcore._spectrum is np.linalg.eigvalsh
+        rho = random_mixed_hs(4, RngSeed(7, 3), dims=(2, 2))
+        print(rho.spectrum.tobytes().hex())
+        """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True)
+    rho = random_mixed_hs(4, RngSeed(7, 3), dims=(2, 2))
+    assert _spectrum is not np.linalg.eigvalsh
+    assert out.stdout.strip() == rho.spectrum.tobytes().hex()
 
 
 def test_spectrum_is_a_read_only_derived_field():
