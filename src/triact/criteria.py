@@ -68,12 +68,17 @@ def _correlation_stack(mats: np.ndarray) -> np.ndarray:
     return corr.reshape(n, 3, 3)
 
 
+def _hashing_margin(s_a, s_b, s_ab):
+    """max(S_A, S_B) - S_AB, positive for a hashing-distillable state."""
+    return np.maximum(s_a, s_b) - s_ab
+
+
 def _fields(m, s_a, s_b, s_ab) -> dict:
     """The Classification fields from M and the three entropies, on numpy
     scalars and arrays alike.  Boundary cases (M = 1, entropy ties)
     classify negative."""
     violates = m > 1 + TIE_TOLERANCE
-    distillable = np.maximum(s_a, s_b) - s_ab > TIE_TOLERANCE
+    distillable = _hashing_margin(s_a, s_b, s_ab) > TIE_TOLERANCE
     return {
         "m_value": m,
         "chsh_max": 2 * np.sqrt(np.clip(m, 0.0, None)),

@@ -10,8 +10,6 @@ fixed float format, which makes CSV output byte-identical across runs.
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import json
 import math
 import os
@@ -20,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, criteria, protocols
-from .qcore import PureState, _checked, fidelity_pure, partial_trace
-from .states import RngSeed, _complex_gaussian, _isotropic_matrix, erased, \
-    max_entangled, random_mixed_hs, random_pure_fs
+from .qcore import _checked, fidelity_pure, partial_trace
+from .states import RngSeed, _complex_gaussian, _isotropic_matrix, \
+    _pure_fs, erased, max_entangled, random_mixed_hs, random_pure_fs
 
 CHANNELS = {
     "AD": channels.make_ad,
@@ -112,10 +110,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-# json's text for the floats that have no JSON literal.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_cells(col: np.ndarray) -> list:
     """json's text of every value of ``col``, with one format per dtype
     picked once for the column; object columns go value by value."""
@@ -128,7 +122,7 @@ def _json_cells(col: np.ndarray) -> list:
     if kind == "f":
         cells = list(map(repr, values))
         for i in np.flatnonzero(~np.isfinite(col)):
-            cells[i] = _JSON_NONFINITE[cells[i]]
+            cells[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
         return cells
     return list(map(json.dumps, values))
 
@@ -148,20 +142,17 @@ def _json_text(cols: dict, summary: dict) -> str:
 
 def _csv_text(cols: dict, summary: dict) -> str:
     """What ``csv.writer`` writes for the header, one row of ``_fmt``
-    cells per record and one ``# key`` row per summary key, with the
-    records filled into one template per row.  Object columns go through
-    ``_fmt`` value by value; their cells must need no quoting."""
+    cells per record and one ``# key`` row per summary key.  No name or
+    cell a runner writes needs quoting, so every row is filled into a
+    template; object columns go through ``_fmt`` value by value."""
     template = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s")
                         for c in cols.values()) + "\r\n"
     cells = (c.tolist() if c.dtype.kind in _CSV_FORMATS
              else list(map(_fmt, c.tolist())) for c in cols.values())
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(cols)
-    buf.write("".join(template % row for row in zip(*cells)))
-    for key in sorted(summary):
-        writer.writerow([f"# {key}", _fmt(summary[key])])
-    return buf.getvalue()
+    keys = ("# %s,%s\r\n" % (key, _fmt(summary[key]))
+            for key in sorted(summary))
+    return "".join([",".join(cols) + "\r\n",
+                    *(template % row for row in zip(*cells)), *keys])
 
 
 def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
@@ -342,6 +333,10 @@ def _check(name, residual, tol):
             "passed": bool(residual <= tol)}
 
 
+def _report(checks: list) -> dict:
+    return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+
+
 def run_protocol_verify(cfg: ExperimentConfig):
     """Structural residual checks on the activation protocols."""
     rng = np.random.default_rng(cfg.seed)
@@ -351,7 +346,7 @@ def run_protocol_verify(cfg: ExperimentConfig):
     for d in (2, 3):
         worst = 0.0
         for _ in range(5):
-            phi = _random_pure(rng, d)
+            phi = _pure_fs(rng, d * d, (d, d))
             p = rng.uniform(0, 1)
             got = protocols.double_teleport(phi, p, d, (0, 0))
             want = protocols.eq2_mixture(phi, p, d)
@@ -396,10 +391,7 @@ def run_protocol_verify(cfg: ExperimentConfig):
     checks.append(_check("teleport_distribution_residual", dist.residual,
                          1e-10))
 
-    summary = {
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
-    }
+    summary = _report(checks)
     if cfg.output_path:
         _write_atomic(cfg.output_path, json.dumps(summary, indent=1) + "\n")
     return summary
@@ -410,11 +402,6 @@ def _classify_states(states) -> dict:
     spectra."""
     return criteria.classify_batch(np.stack([s.matrix for s in states]),
                                    np.stack([s.spectrum for s in states]))
-
-
-def _random_pure(rng, d: int):
-    v = _complex_gaussian(rng, (d * d,))
-    return PureState((d, d), v / np.linalg.norm(v))
 
 
 def _projective_povm(rng, d: int):
@@ -433,8 +420,7 @@ def run_extension_verify(cfg: ExperimentConfig):
     for i in range(1, k + 1):
         marg = partial_trace(ext, {0, i}).matrix
         worst = max(worst, float(np.max(np.abs(marg - target))))
-    check = _check(f"extension_marginals_k{k}", worst, 1e-12)
-    return {"checks": [check], "all_passed": check["passed"]}
+    return _report([_check(f"extension_marginals_k{k}", worst, 1e-12)])
 
 
 # -------------------------------------------------------------- iso curve
@@ -456,7 +442,8 @@ def run_iso_curve(cfg: ExperimentConfig):
         "p": ps,
         "m_value": cls["m_value"],
         "chsh_max": cls["chsh_max"],
-        "hashing_margin": np.maximum(cls["s_a"], cls["s_b"]) - cls["s_ab"],
+        "hashing_margin": criteria._hashing_margin(cls["s_a"], cls["s_b"],
+                                                   cls["s_ab"]),
         "activated_chsh": act["chsh_max"],
     }
     violates = act["violates_chsh"]

@@ -34,6 +34,8 @@ ZERO_PROB = 1e-12
 ENTROPY_CUTOFF = 1e-14
 # A pure-state fidelity is accepted in [-FIDELITY_TOL, 1 + FIDELITY_TOL].
 FIDELITY_TOL = 1e-10
+# No number to a gate, though operator.index and numbers.Real take bool.
+_BOOLS = (bool, np.bool_)
 
 # Largest total Hilbert-space dimension of a PureState, DensityMatrix or
 # tensor product; the builders bound their d by it before allocating.
@@ -78,14 +80,15 @@ def _checked(value, name: str, lo, hi=math.inf, *, integer: bool = False,
              hi_open: bool = False, error=ValueError):
     """``value`` as a Python int (``integer``: Python and numpy integers
     only) or float (any real number), checked to lie in [lo, hi], or in
-    [lo, hi) with ``hi_open``; NaN fails every bound.  Anything else
-    raises ``error`` with ``name`` first."""
+    [lo, hi) with ``hi_open``; NaN fails every bound, and a bool is no
+    number.  Anything else raises ``error`` with ``name`` first."""
+    flag = value.__class__ in _BOOLS  # neither type can be subclassed
     if integer:
         try:
-            x = operator.index(value)
+            x = operator.index(None if flag else value)
         except TypeError:
             raise error(f"{name}: integers only, got {value!r}") from None
-    elif isinstance(value, numbers.Real):
+    elif isinstance(value, numbers.Real) and not flag:
         x = float(value)
     else:
         raise error(f"{name} must be a real number, got {value!r}")

@@ -150,6 +150,11 @@ def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
 def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
     """Fubini-Study-random pure state: normalized complex Gaussian vector."""
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
-    v = _complex_gaussian(rng.generator(), (d_total,))
-    return PureState(dims if dims is not None else (d_total,),
-                     v / np.linalg.norm(v))
+    return _pure_fs(rng.generator(), d_total,
+                    dims if dims is not None else (d_total,))
+
+
+def _pure_fs(gen: np.random.Generator, d_total: int, dims) -> PureState:
+    """The Fubini-Study draw: a normalized complex Gaussian from ``gen``."""
+    v = _complex_gaussian(gen, (d_total,))
+    return PureState(dims, v / np.linalg.norm(v))

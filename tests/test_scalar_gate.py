@@ -1,12 +1,13 @@
 """Every scalar argument of the public entry points goes through one gate:
-a str, None, NaN or out-of-range value raises ValueError (DimensionError
-where documented), never TypeError, with a message that starts with the
-argument's name; numpy scalars are accepted and stored as Python numbers.
-A sequence argument given a non-sequence raises the same way, and a d or
-dims over the MAX_TOTAL_DIM cap is rejected before anything is built.
-The builders keep nothing between calls and leave the protocols' Bell
-bra table, built at import, as it was.  This file is the one place an
-argument's rejection is tested: a new bad-argument case is a GATED row."""
+a str, None, NaN, bool or out-of-range value raises ValueError
+(DimensionError where documented), never TypeError, with a message that
+starts with the argument's name; numpy numbers are accepted and stored as
+Python numbers.  A sequence argument given a non-sequence raises the same
+way, and a d or dims over the MAX_TOTAL_DIM cap is rejected before
+anything is built.  The builders keep nothing between calls and leave
+the protocols' Bell bra table, built at import, as it was.  This file is
+the one place an argument's rejection is tested: a new bad-argument case
+is a GATED row."""
 
 import math
 import re
@@ -46,42 +47,51 @@ def config(experiment, **kw):
     return ExperimentConfig(experiment=experiment, **kw)
 
 
+# A bool is no number, though Python's is an int: every integer and real
+# slot rejects Python's and numpy's.
+FLAGS = (True, np.True_)
+
 # (entry point, call with the value in its gated slot, the values that
-# must fail: a str, None, NaN, then out of range, the error raised, the
-# start of its message: the argument's name as the gate spells it, or
-# "total dimension" for the cap rows).  A sequence slot takes
-# non-sequences.  The first value over the cap is 65 for a (d, d) pair,
-# 4097 for a d_total and (65, 65) for dims.
+# must fail: a str, None, NaN, then out of range, then FLAGS, the error
+# raised, the start of its message: the argument's name as the gate
+# spells it, or "total dimension" for the cap rows).  A sequence slot
+# takes non-sequences.  The first value over the cap is 65 for a (d, d)
+# pair, 4097 for a d_total and (65, 65) for dims.
 GATED = [
-    ("make_ad t", make_ad, ("0.3", None, NAN, 1.5, -0.1), ValueError, "t"),
-    ("make_pd t", make_pd, ("0.3", None, NAN, 1.5, -0.1), ValueError, "t"),
+    ("make_ad t", make_ad, ("0.3", None, NAN, 1.5, -0.1, *FLAGS),
+     ValueError, "t"),
+    ("make_pd t", make_pd, ("0.3", None, NAN, 1.5, -0.1, *FLAGS),
+     ValueError, "t"),
     ("make_pd verbatim t", lambda t: make_pd(t, verbatim=True),
-     ("0.3", None, NAN, 1.5), ValueError, "t"),
-    ("make_d t", make_d, ("0.3", None, NAN, 1.5, -0.1), ValueError, "t"),
-    ("make_erasure k", make_erasure, ("3", None, NAN, 0.5), ValueError, "k"),
+     ("0.3", None, NAN, 1.5, *FLAGS), ValueError, "t"),
+    ("make_d t", make_d, ("0.3", None, NAN, 1.5, -0.1, *FLAGS), ValueError,
+     "t"),
+    ("make_erasure k", make_erasure, ("3", None, NAN, 0.5, *FLAGS),
+     ValueError, "k"),
     ("apply subsystem", lambda s: apply(make_d(0.1), RHO, s),
-     ("0", None, NAN, 2, -1, 0.5, 1.0), ValueError, "subsystem indices"),
+     ("0", None, NAN, 2, -1, 0.5, 1.0, *FLAGS), ValueError,
+     "subsystem indices"),
     # NaN fails at the gate, not as the eigensolver's LinAlgError (also
     # a ValueError, but not one that names k)
-    ("erased k", erased, ("3", None, NAN, 0.5), ValueError, "k"),
-    ("isotropic p", isotropic, ("0.5", None, NAN, 1.2, -0.1), ValueError,
-     "p"),
+    ("erased k", erased, ("3", None, NAN, 0.5, *FLAGS), ValueError, "k"),
+    ("isotropic p", isotropic, ("0.5", None, NAN, 1.2, -0.1, *FLAGS),
+     ValueError, "p"),
     ("isotropic d", lambda d: isotropic(0.5, d),
-     ("2", None, NAN, 1, 65, 2.0), ValueError, "d"),
-    ("max_entangled d", max_entangled, ("2", None, NAN, 1, 65, 2.0),
+     ("2", None, NAN, 1, 65, 2.0, *FLAGS), ValueError, "d"),
+    ("max_entangled d", max_entangled, ("2", None, NAN, 1, 65, 2.0, *FLAGS),
      ValueError, "d"),
     ("random_mixed_hs d_total", lambda d: random_mixed_hs(d, RngSeed(0)),
-     ("4", None, NAN, 1, 4097, 4.0), ValueError, "d_total"),
+     ("4", None, NAN, 1, 4097, 4.0, *FLAGS), ValueError, "d_total"),
     ("random_pure_fs d_total", lambda d: random_pure_fs(d, RngSeed(0)),
-     ("4", None, NAN, 1, 4097, 4.0), ValueError, "d_total"),
-    ("RngSeed seed", RngSeed, ("1", None, NAN, -1, 2**64, 1.0, 1.5),
+     ("4", None, NAN, 1, 4097, 4.0, *FLAGS), ValueError, "d_total"),
+    ("RngSeed seed", RngSeed, ("1", None, NAN, -1, 2**64, 1.0, 1.5, *FLAGS),
      ValueError, "seed"),
     ("RngSeed stream_index", lambda i: RngSeed(0, i),
-     ("1", None, NAN, -1, 2**64, 1.0), ValueError, "stream_index"),
+     ("1", None, NAN, -1, 2**64, 1.0, *FLAGS), ValueError, "stream_index"),
     ("DensityMatrix dims", lambda d: DensityMatrix((d, 2), np.eye(4) / 4),
-     ("2", None, NAN, 0, 2.5, 2.0), DimensionError, "dims"),
+     ("2", None, NAN, 0, 2.5, 2.0, *FLAGS), DimensionError, "dims"),
     ("PureState dims", lambda d: PureState((d,), PSI_2),
-     ("2", None, NAN, 0, 2.7, 2.0), DimensionError, "dims"),
+     ("2", None, NAN, 0, 2.7, 2.0, *FLAGS), DimensionError, "dims"),
     ("DensityMatrix dims tuple",
      lambda dims: DensityMatrix(dims, np.eye(4) / 4), (4, None),
      DimensionError, "dims"),
@@ -94,72 +104,74 @@ GATED = [
     ("PureState dims tuple", lambda dims: PureState(dims, unit(65 * 65)),
      ((65, 65),), DimensionError, "total dimension"),
     ("bell_state d", lambda d: bell_state(d, 1),
-     ("2", None, NAN, 1, 65, 2.5, 2.0), ValueError, "d"),
+     ("2", None, NAN, 1, 65, 2.5, 2.0, *FLAGS), ValueError, "d"),
     ("bell_state index", lambda i: bell_state(2, i),
-     ("1", None, NAN, 4, -1, 1.5), ValueError, "Bell index"),
+     ("1", None, NAN, 4, -1, 1.5, *FLAGS), ValueError, "Bell index"),
     # the d gate runs before the check that phi lives on (d, d)
     ("double_teleport d", lambda d: double_teleport(PHI, 0.5, d, (0, 0)),
-     ("2", None, NAN, 4, 1, 2.0), DimensionError, "d"),
+     ("2", None, NAN, 4, 1, 2.0, *FLAGS), DimensionError, "d"),
     ("double_teleport p", lambda p: double_teleport(PHI, p, 2, (0, 0)),
-     ("0.5", None, NAN, 1.5), ValueError, "p"),
+     ("0.5", None, NAN, 1.5, *FLAGS), ValueError, "p"),
     ("double_teleport first outcome",
      lambda o: double_teleport(PHI, 0.5, 2, (o, 0)),
-     ("0", None, NAN, 4, -1, 16, 1.5), ValueError, "Bell outcome"),
+     ("0", None, NAN, 4, -1, 16, 1.5, *FLAGS), ValueError, "Bell outcome"),
     ("double_teleport outcome",
      lambda o: double_teleport(PHI, 0.5, 2, (0, o)),
-     ("0", None, NAN, 4, -1, 16, 1.5), ValueError, "Bell outcome"),
+     ("0", None, NAN, 4, -1, 16, 1.5, *FLAGS), ValueError, "Bell outcome"),
     ("double_teleport bell_outcome",
      lambda o: double_teleport(PHI, 0.5, 2, o), (0, None), ValueError,
      "bell_outcome"),
     ("eq2_mixture d", lambda d: eq2_mixture(PHI, 0.5, d),
-     ("2", None, NAN, 4, 1, 2.0), DimensionError, "d"),
+     ("2", None, NAN, 4, 1, 2.0, *FLAGS), DimensionError, "d"),
     ("eq2_mixture p", lambda p: eq2_mixture(PHI, p, 2),
-     ("0.5", None, NAN, 1.5, -0.1), ValueError, "p"),
+     ("0.5", None, NAN, 1.5, -0.1, *FLAGS), ValueError, "p"),
     ("teleport_distribution d",
      lambda d: teleport_distribution(PHI, 0.5, d, POVM, POVM),
-     ("2", None, NAN, 4, 1, 2.0), DimensionError, "d"),
-    ("erased_protocol k", erased_protocol, ("3", None, NAN, 0.5), ValueError,
-     "k"),
+     ("2", None, NAN, 4, 1, 2.0, *FLAGS), DimensionError, "d"),
+    ("erased_protocol k", erased_protocol, ("3", None, NAN, 0.5, *FLAGS),
+     ValueError, "k"),
     ("erased_protocol bell_outcome", lambda b: erased_protocol(3.0, b),
-     ("0", None, NAN, 4, -1, 1.5), ValueError, "bell_outcome"),
+     ("0", None, NAN, 4, -1, 1.5, *FLAGS), ValueError, "bell_outcome"),
     ("erased_protocol b_outcomes",
-     lambda b: erased_protocol(3.0, 0, (b, 0)), ("0", None, NAN, 2, 1.0),
-     ValueError, "b_outcomes"),
+     lambda b: erased_protocol(3.0, 0, (b, 0)),
+     ("0", None, NAN, 2, 1.0, *FLAGS), ValueError, "b_outcomes"),
     ("erased_protocol second b_outcomes",
      lambda b: erased_protocol(3.0, 0, (0, b)),
-     ("0", None, NAN, 2, -1, 0.0, 0.5), ValueError, "b_outcomes"),
+     ("0", None, NAN, 2, -1, 0.0, 0.5, *FLAGS), ValueError, "b_outcomes"),
     ("erased_protocol b_outcomes pair", lambda b: erased_protocol(3, 0, b),
      (5, None, (0,)), ValueError, "b_outcomes"),
     ("partial_trace keep", lambda keep: partial_trace(RHO, keep), (0, None),
      ValueError, "keep"),
     ("partial_trace keep items", lambda i: partial_trace(RHO_23, {i}),
-     ("0", None, NAN, 2, -1, 0.7, 1.9, 1.0), ValueError,
+     ("0", None, NAN, 2, -1, 0.7, 1.9, 1.0, *FLAGS), ValueError,
      "subsystem indices"),
     ("project_and_condition subsystems",
      lambda s: project_and_condition(RHO, np.diag([1.0, 0.0]), s),
      (0, None), ValueError, "subsystems"),
     ("build_symmetric_extension k", build_symmetric_extension,
-     ("3", None, NAN, 5, 1, 3.0, 2.5), DimensionError, "k"),
+     ("3", None, NAN, 5, 1, 3.0, 2.5, *FLAGS), DimensionError, "k"),
     ("verify k", lambda k: config("protocol_verify", k=k),
-     ("3", None, NAN, 5e5, 0.5, math.inf), ValueError, "k"),
+     ("3", None, NAN, 5e5, 0.5, math.inf, *FLAGS), ValueError, "k"),
     ("verify p", lambda p: config("protocol_verify", p=p),
-     ("0.5", None, NAN, 1.5), ValueError, "p"),
+     ("0.5", None, NAN, 1.5, *FLAGS), ValueError, "p"),
     ("extension k", lambda k: config("extension_verify", k=k),
-     ("3", None, NAN, 5, 2.5, 3.0), ValueError, "k"),
+     ("3", None, NAN, 5, 2.5, 3.0, *FLAGS), ValueError, "k"),
     # census reads none of these three: every field is checked anyway
-    ("census p", lambda p: config("census", p=p), ("x",), ValueError, "p"),
-    ("census k", lambda k: config("census", k=k), (None,), ValueError, "k"),
+    ("census p", lambda p: config("census", p=p), ("x", *FLAGS), ValueError,
+     "p"),
+    ("census k", lambda k: config("census", k=k), (None, *FLAGS), ValueError,
+     "k"),
     ("census n_time_steps", lambda n: config("census", n_time_steps=n),
-     (-5,), ValueError, "n_time_steps"),
+     (-5, *FLAGS), ValueError, "n_time_steps"),
     # None is n_states' default, the experiment's own count
     ("n_states", lambda n: config("census", n_states=n),
-     ("2", 2.5, NAN, 0, 2.0), ValueError, "n_states"),
+     ("2", 2.5, NAN, 0, 2.0, *FLAGS), ValueError, "n_states"),
     ("n_time_steps", lambda n: config("decoherence_sweep", n_time_steps=n),
-     ("2", None, NAN, 1, 2.5, 2.0), ValueError, "n_time_steps"),
+     ("2", None, NAN, 1, 2.5, 2.0, *FLAGS), ValueError, "n_time_steps"),
     ("seed", lambda s: config("census", seed=s),
-     ("2", None, NAN, -1, 2**64, 2.5, 2.0), ValueError, "seed"),
+     ("2", None, NAN, -1, 2**64, 2.5, 2.0, *FLAGS), ValueError, "seed"),
     ("threads", lambda n: config("census", threads=n),
-     ("2", None, NAN, 0, 2.5, 2.0), ValueError, "threads"),
+     ("2", None, NAN, 0, 2.5, 2.0, *FLAGS), ValueError, "threads"),
 ]
 
 
