@@ -60,7 +60,12 @@ class ExperimentConfig:
                 ("output format", self.output_format, ("csv", "json"))):
             if value not in known:
                 raise ValueError(f"unknown {what} {value!r}")
-        if self.output_path == "":
+        path = self.output_path
+        path = os.fspath(path) if isinstance(path, os.PathLike) else path
+        if not isinstance(path, (str, type(None))):
+            raise ValueError(f"output_path must be a str or a path to one, "
+                             f"not {type(path).__name__}")
+        if path == "":
             raise ValueError("output_path must not be empty")
         # Every field is checked for every experiment; only the n_states
         # default and the k rule depend on it.

@@ -89,6 +89,7 @@ def test_2_table1_ad(sweep_summaries):
 
 
 def test_2_table1_pd(sweep_summaries):
+    # The default PD must land; PD_verbatim's reading is reported only.
     pct, tol, w, ws = TABLE1["PD"]
     results = {name: sweep_summaries[name]["pct_nlr_states"]
                for name in ("PD", "PD_verbatim")}
@@ -97,7 +98,7 @@ def test_2_table1_pd(sweep_summaries):
     which, act, allm = width_in_band(sweep_summaries["PD"], w, ws)
     passed = report(
         "2 Table1 PD",
-        bool(landed) and bool(which),
+        "PD" in landed and bool(which),
         f"parametrizations in {pct}±{tol}: {landed or 'none'}; "
         f"discrepant: {missed}; default widths activated {act:.4f} / "
         f"all {allm:.4f} vs {w}±{ws}")
@@ -115,23 +116,6 @@ def test_2_table1_d(sweep_summaries):
         f"pct {s['pct_nlr_states']:.2f} (target {pct}±{tol}); width "
         f"activated {act:.4f} / all {allm:.4f} vs {w}±{ws}, matching "
         f"normalization(s): {which or 'none'}")
-    assert passed
-
-
-def test_2_supplementary_table1_at_paper_time_grid(sweep_summaries):
-    """Not a stated criterion: a one-line summary of the AD, PD and D
-    statistics on the shared sweeps of the paper's 10^3-step grid."""
-    lines = []
-    all_ok = True
-    for ch in ("AD", "PD", "D"):
-        s = sweep_summaries[ch]
-        pct, tol, w, ws = TABLE1[ch]
-        ok = (abs(s["pct_nlr_states"] - pct) <= tol
-              and bool(width_in_band(s, w, ws)[0]))
-        all_ok &= ok
-        lines.append(f"{ch} pct {s['pct_nlr_states']:.2f} width(act) "
-                     f"{s['mean_interval_width_activated']:.4f}")
-    passed = report("2s Table1 @1000 steps", all_ok, "; ".join(lines))
     assert passed
 
 

@@ -7,11 +7,12 @@ through `criteria`, and the sweeps evolve each state with
 sweep flags are checked against its sweep of locally rotated states,
 and the matrices its per-t superoperators give against the Kraus sums
 of the stack.
-The batch iso-curve is checked against the scalar `classify` and
-`horodecki_m`, and the literal measurement in `double_teleport` and the
-closed form `eq2_mixture` are each shown to run without the other's
-code."""
+Every written census, sweep and iso-curve record is checked against the
+scalar `classify` (the sweep's on states evolved by `local_decohere`),
+and the literal measurement in `double_teleport` and the closed form
+`eq2_mixture` are each shown to run without the other's code."""
 
+import dataclasses
 import json
 import math
 
@@ -22,7 +23,8 @@ from triact import channels, criteria, harness, protocols
 from triact.channels import (local_decohere, make_ad, make_d, make_pd,
                              two_qubit_kraus_stack)
 from triact.criteria import classify, classify_batch, horodecki_m
-from triact.harness import ExperimentConfig, run_iso_curve
+from triact.harness import (ExperimentConfig, run_census,
+                            run_decoherence_sweep, run_iso_curve)
 from triact.protocols import double_teleport, eq2_mixture
 from triact.qcore import PureState
 from triact.states import (RngSeed, _isotropic_matrix, isotropic,
@@ -33,6 +35,11 @@ from literals import haar_unitary
 N_STATES = 20000
 SWEEP_STATES = 7
 SWEEP_TS = np.linspace(0.0, 1.0, 201)
+
+
+def disabled(*args, **kwargs):
+    """Stands in for code that the check of an oracle must not reach."""
+    raise AssertionError("a check reached into the code it checks")
 
 
 @pytest.fixture(scope="module")
@@ -193,9 +200,6 @@ def test_sweep_superoperators_give_the_kraus_sums(monkeypatch, channel):
         stacks.append(mats)
         return classify_batch(mats)
 
-    def disabled(*args, **kwargs):
-        raise AssertionError("the sweep must not call this")
-
     with monkeypatch.context() as m:
         m.setattr(criteria, "classify_batch", recording)
         m.setattr(channels, "local_decohere", disabled)
@@ -223,6 +227,70 @@ def test_isotropic_matrix_is_the_validated_matrix():
                     == isotropic(p, d).matrix.tobytes())
 
 
+# M <= 2 and CHSH <= 2 sqrt(2).  The batch path forms T^T T by an einsum,
+# `horodecki_m` by a matrix product, so the two agree to rounding only.
+RECORD_TOL = 8 * np.finfo(float).eps  # 8 ulps of 1.0
+
+
+def test_census_records_equal_the_scalar_path(monkeypatch, tmp_path):
+    """Every written census record of 2000 states has the flags and
+    entropies `classify` gives its state, exactly, and its M and CHSH
+    within RECORD_TOL.  The runner then runs with `classify` and
+    `horodecki_m` disabled, so the batch path cannot lean on the oracle
+    it is checked against."""
+    want = [dataclasses.asdict(classify(random_mixed_hs(
+        4, RngSeed(0, i), dims=(2, 2)))) for i in range(2000)]
+    assert any(w["nonlocal_resource"] for w in want)  # the rarest flag
+
+    monkeypatch.setattr(criteria, "classify", disabled)
+    monkeypatch.setattr(criteria, "horodecki_m", disabled)
+    path = tmp_path / "census.json"
+    run_census(ExperimentConfig(n_states=len(want), seed=0,
+                                output_path=str(path), output_format="json"))
+    records = json.loads(path.read_text())["records"]
+    assert len(records) == len(want)
+    for i, (got, w) in enumerate(zip(records, want)):
+        assert got.pop("state_index") == i
+        for key in ("m_value", "chsh_max"):
+            assert abs(got.pop(key) - w.pop(key)) <= RECORD_TOL
+        assert got == w
+
+
+def test_sweep_trajectory_matches_batch_sweep(tmp_path):
+    """Every written sweep record agrees with the flags of its state
+    decohered by `channels.local_decohere` and classified by
+    `criteria.classify` at each grid point."""
+    path = tmp_path / "s.json"
+    seen = set()
+    for channel in ("AD", "PD", "PD_verbatim", "D"):
+        cfg = ExperimentConfig(experiment="decoherence_sweep", n_states=4,
+                               n_time_steps=25, channel=channel, seed=9,
+                               output_path=str(path), output_format="json")
+        run_decoherence_sweep(cfg)
+        records = json.loads(path.read_text())["records"]
+        assert len(records) == cfg.n_states
+        ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
+        for i, rec in enumerate(records):
+            psi = random_pure_fs(4, RngSeed(cfg.seed, i), dims=(2, 2))
+            hits = np.flatnonzero([
+                criteria.classify(channels.local_decohere(
+                    psi, harness.CHANNELS[channel], float(t))
+                ).nonlocal_resource for t in ts])
+            assert rec["state_index"] == i
+            assert rec["n_nlr_steps"] == hits.size
+            if hits.size:
+                assert rec["t_start"] == ts[hits[0]]
+                assert rec["t_end"] == ts[hits[-1]]
+                multi = hits.size != hits[-1] - hits[0] + 1
+                assert rec["multi_interval"] == multi
+                seen.add("multi" if multi else "single")
+            else:
+                assert rec["t_start"] is None and rec["t_end"] is None
+                seen.add("never")
+    # the sample covers each kind of record
+    assert seen == {"single", "multi", "never"}
+
+
 def test_iso_curve_equals_the_scalar_path(monkeypatch, tmp_path):
     """Every written iso-curve record equals the scalar path exactly, and
     the crossing is the first grid p whose conditional state `classify`
@@ -240,9 +308,6 @@ def test_iso_curve_equals_the_scalar_path(monkeypatch, tmp_path):
                      "activated_chsh": 2 * math.sqrt(horodecki_m(cond))})
         if classify(cond).violates_chsh:
             violating.append(float(p))
-
-    def disabled(*args, **kwargs):
-        raise AssertionError("the iso-curve runner called a scalar oracle")
 
     monkeypatch.setattr(criteria, "classify", disabled)
     monkeypatch.setattr(criteria, "horodecki_m", disabled)
@@ -267,9 +332,6 @@ def test_teleport_kernel_and_eq2_closed_form_share_no_code(monkeypatch):
                       eq2_mixture(phi, p, d).matrix.tobytes(),
                       double_teleport(phi, p, d, (0, 0))
                       .conditional_state.matrix.tobytes()))
-
-    def disabled(*args, **kwargs):
-        raise AssertionError("an oracle reached into the code it checks")
 
     class Disabled(dict):
         __getitem__ = disabled

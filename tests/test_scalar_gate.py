@@ -172,6 +172,9 @@ GATED = [
      ("2", None, NAN, -1, 2**64, 2.5, 2.0, *FLAGS), ValueError, "seed"),
     ("threads", lambda n: config("census", threads=n),
      ("2", None, NAN, 0, 2.5, 2.0, *FLAGS), ValueError, "threads"),
+    # a path slot: a str or a path to one, so no bytes
+    ("output_path", lambda path: config("census", output_path=path),
+     (5, b"x.csv", ["a"]), ValueError, "output_path"),
 ]
 
 

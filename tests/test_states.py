@@ -103,14 +103,6 @@ def test_erased_marginals():
         assert abs(sigma_b[2, 2].real - (1 - 1 / k)) < 1e-12
 
 
-def test_hs_sampler_determinism():
-    a = random_mixed_hs(4, RngSeed(5, 17))
-    b = random_mixed_hs(4, RngSeed(5, 17))
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-    c = random_mixed_hs(4, RngSeed(5, 18))
-    assert np.max(np.abs(a.matrix - c.matrix)) > 1e-3
-
-
 def test_hs_sampler_mean_is_maximally_mixed():
     # unitary invariance of the Ginibre construction: Monte Carlo oracle
     n = 10_000
@@ -125,13 +117,6 @@ def test_hs_sampler_purity_range():
         m = random_mixed_hs(4, RngSeed(2, i)).matrix
         purity = np.trace(m @ m).real
         assert 0.25 < purity <= 1.0
-
-
-def test_fs_sampler_determinism_and_norm():
-    a = random_pure_fs(4, RngSeed(3, 9))
-    b = random_pure_fs(4, RngSeed(3, 9))
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-    assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
 
 
 def test_fs_sampler_marginal_mean():
