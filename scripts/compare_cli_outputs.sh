@@ -21,6 +21,7 @@ experiments=(
     "census_s7 census --n-states 5000 --seed 7 --out census_s7.csv"
     "census_t2 census --n-states 5000 --threads 2 --out census_t2.csv"
     "census_json census --n-states 2000 --format json --out census.json"
+    "census_maxseed census --n-states 4100 --seed 18446744073709551615 --out census_maxseed.csv"
     "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"

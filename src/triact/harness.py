@@ -19,8 +19,8 @@ import numpy as np
 
 from . import channels, criteria, protocols
 from .qcore import _checked, fidelity_pure, partial_trace
-from .states import RngSeed, _complex_gaussian, _isotropic_matrix, \
-    _pure_fs, erased, max_entangled, random_mixed_hs, random_pure_fs
+from .states import _complex_gaussian, _isotropic_matrix, _streams, \
+    erased, max_entangled, random_mixed_hs, random_pure_fs
 
 CHANNELS = {
     "AD": channels.make_ad,
@@ -199,8 +199,8 @@ def _census_chunk(seed: int, indices):
     # classify_batch's own 4x4 eigensolve
     mats = np.empty((len(indices), 4, 4), dtype=complex)
     spectra = np.empty((len(indices), 4))
-    for j, i in enumerate(indices):
-        rho = random_mixed_hs(4, RngSeed(seed, i), dims=(2, 2))
+    for j, gen in enumerate(_streams(seed, indices)):
+        rho = random_mixed_hs(4, gen, dims=(2, 2))
         mats[j] = rho.matrix
         spectra[j] = rho.spectrum
     return criteria.classify_batch(mats, spectra)
@@ -272,8 +272,8 @@ def _sweep_chunk(seed: int, indices, channel: str, ts: np.ndarray):
     sup = _superoperators(
         channels.two_qubit_kraus_stack(CHANNELS[channel], ts))
     out = []
-    for i in indices:
-        psi = random_pure_fs(4, RngSeed(seed, i), dims=(2, 2)).amplitudes
+    for gen in _streams(seed, indices):
+        psi = random_pure_fs(4, gen, dims=(2, 2)).amplitudes
         # One stacked (16, 16) @ (16,) product per t, which stays
         # single-threaded; one (16 T, 16) product would not.
         rho_t = (sup @ np.outer(psi, psi.conj()).reshape(16)).reshape(-1, 4, 4)
@@ -351,7 +351,7 @@ def run_protocol_verify(cfg: ExperimentConfig):
     for d in (2, 3):
         worst = 0.0
         for _ in range(5):
-            phi = _pure_fs(rng, d * d, (d, d))
+            phi = random_pure_fs(d * d, rng, dims=(d, d))
             p = rng.uniform(0, 1)
             got = protocols.double_teleport(phi, p, d, (0, 0))
             want = protocols.eq2_mixture(phi, p, d)

@@ -3,7 +3,11 @@
 Sampling uses counter-based Philox streams keyed by ``(seed,
 stream_index)`` so that Monte Carlo work can be partitioned
 deterministically across workers: stream ``i`` always yields the same
-draws no matter which worker runs it.
+draws no matter which worker runs it.  The samplers take either an
+``RngSeed`` or a ``numpy.random.Generator``, which they draw from as it
+stands.  The harness re-keys one Philox per chunk (``_streams``) rather
+than making a fresh one per state; each re-keyed stream gives the same
+bits as ``RngSeed(seed, i)``.
 """
 
 from __future__ import annotations
@@ -134,27 +138,59 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return z
 
 
-def random_mixed_hs(d_total: int, rng: RngSeed, dims=None) -> DensityMatrix:
+def _streams(seed: int, indices):
+    """Yield, for each i of ``indices``, a Generator in the state that
+    ``RngSeed(seed, i).generator()`` starts in, so with its draws.
+
+    One Philox and Generator serve every i: the public ``state`` setter
+    re-keys it to counter 0, key (seed, i), an empty buffer and no cached
+    uint32, at a fraction of the cost of a fresh stream.  The yielded
+    Generator is valid until the next one is drawn."""
+    gen = RngSeed(seed).generator()
+    bitgen = gen.bit_generator
+    # stream (seed, 0) as numpy starts it, its arrays as lists of Python
+    # ints, which the setter converts faster than numpy's
+    fresh = bitgen.state
+    key = fresh["state"]["key"].tolist()
+    state = {**fresh, "buffer": fresh["buffer"].tolist(),
+             "state": {"counter": fresh["state"]["counter"].tolist(),
+                       "key": key}}
+    for i in indices:
+        key[1] = i
+        bitgen.state = state
+        yield gen
+
+
+def _generator(rng) -> np.random.Generator:
+    """The Generator a sampler draws from: a fresh one for an
+    ``RngSeed``, ``rng`` itself, as it stands, for a Generator."""
+    if isinstance(rng, RngSeed):
+        return rng.generator()
+    # numpy.random loads here, with the first draw, not on import
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise ValueError(f"rng must be an RngSeed or a numpy.random.Generator, "
+                     f"not {type(rng).__name__}")
+
+
+def random_mixed_hs(d_total: int, rng, dims=None) -> DensityMatrix:
     """Hilbert-Schmidt-random mixed state via the square Ginibre construction.
 
     rho = G G^dag / Tr(G G^dag) with G a d x d matrix of independent
-    standard complex Gaussian entries.
+    standard complex Gaussian entries, drawn from ``rng``: an ``RngSeed``
+    or a ``numpy.random.Generator``.
     """
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
-    g = _complex_gaussian(rng.generator(), (d_total, d_total))
+    g = _complex_gaussian(_generator(rng), (d_total, d_total))
     m = np.dot(g, g.conj().T)  # the zgemm of @, without matmul's set-up
     m /= m.diagonal().sum().real  # ndarray.trace's reduction, unwrapped
     return DensityMatrix(dims if dims is not None else (d_total,), m)
 
 
-def random_pure_fs(d_total: int, rng: RngSeed, dims=None) -> PureState:
-    """Fubini-Study-random pure state: normalized complex Gaussian vector."""
+def random_pure_fs(d_total: int, rng, dims=None) -> PureState:
+    """Fubini-Study-random pure state: normalized complex Gaussian vector,
+    drawn from ``rng`` as in ``random_mixed_hs``."""
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
-    return _pure_fs(rng.generator(), d_total,
-                    dims if dims is not None else (d_total,))
-
-
-def _pure_fs(gen: np.random.Generator, d_total: int, dims) -> PureState:
-    """The Fubini-Study draw: a normalized complex Gaussian from ``gen``."""
-    v = _complex_gaussian(gen, (d_total,))
-    return PureState(dims, v / np.linalg.norm(v))
+    v = _complex_gaussian(_generator(rng), (d_total,))
+    return PureState(dims if dims is not None else (d_total,),
+                     v / np.linalg.norm(v))

@@ -84,6 +84,11 @@ GATED = [
      ("4", None, NAN, 1, 4097, 4.0, *FLAGS), ValueError, "d_total"),
     ("random_pure_fs d_total", lambda d: random_pure_fs(d, RngSeed(0)),
      ("4", None, NAN, 1, 4097, 4.0, *FLAGS), ValueError, "d_total"),
+    # only an RngSeed or a numpy Generator is a stream
+    ("random_mixed_hs rng", lambda rng: random_mixed_hs(4, rng),
+     ("x", None, NAN, 5, *FLAGS), ValueError, "rng"),
+    ("random_pure_fs rng", lambda rng: random_pure_fs(4, rng),
+     ("x", None, NAN, 5, *FLAGS), ValueError, "rng"),
     ("RngSeed seed", RngSeed, ("1", None, NAN, -1, 2**64, 1.0, 1.5, *FLAGS),
      ValueError, "seed"),
     ("RngSeed stream_index", lambda i: RngSeed(0, i),

@@ -156,6 +156,56 @@ def test_stream_equals_philox_keyed_directly(seed, stream):
         ref.standard_normal(1000).tobytes()
 
 
+# Draws that leave a stream spent before the next key: 1, 3 and 5 normals
+# mostly stop inside Philox's 4-word buffer (a ziggurat rejection takes one
+# more word), and a small integers call caches half a word as a uint32.
+LEAVE = {"1 normal": lambda gen: gen.standard_normal(1),
+         "3 normals": lambda gen: gen.standard_normal(3),
+         "5 normals": lambda gen: gen.standard_normal(5),
+         "integers": lambda gen: gen.integers(10)}
+
+
+def _rekeyed(seed, stream, leave):
+    """The chunk generator keyed to ``stream``, after ``leave`` drew from
+    the stream before it."""
+    streams = states._streams(seed, [stream ^ 1, stream])
+    leave(next(streams))
+    return next(streams)
+
+
+def _philox_state(gen):
+    st = gen.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+            st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"],
+            st["uinteger"])
+
+
+@pytest.mark.parametrize("leave", LEAVE.values(), ids=LEAVE)
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 17),
+                                          (2**64 - 1, 2**64 - 1)])
+def test_rekeyed_stream_equals_a_fresh_stream_bit_for_bit(seed, stream,
+                                                          leave):
+    left = next(states._streams(seed, [stream ^ 1]))
+    leave(left)
+    assert _philox_state(left) != _philox_state(
+        RngSeed(seed, stream ^ 1).generator())
+    gen = _rekeyed(seed, stream, leave)
+    fresh = RngSeed(seed, stream).generator()
+    assert _philox_state(gen) == _philox_state(fresh)
+    assert gen.standard_normal(1000).tobytes() == \
+        fresh.standard_normal(1000).tobytes()
+    assert gen.integers(2**63, size=100).tobytes() == \
+        fresh.integers(2**63, size=100).tobytes()
+    # the samplers draw from a given Generator as from the RngSeed
+    want = random_mixed_hs(4, RngSeed(seed, stream), dims=(2, 2))
+    got = random_mixed_hs(4, _rekeyed(seed, stream, leave), dims=(2, 2))
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.spectrum.tobytes() == want.spectrum.tobytes()
+    want = random_pure_fs(4, RngSeed(seed, stream), dims=(2, 2))
+    got = random_pure_fs(4, _rekeyed(seed, stream, leave), dims=(2, 2))
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+
 def test_zero_counter_is_read_only_and_stays_zero():
     # every generator() starts Philox from this array; Philox copies it
     counter = states._ZERO_COUNTER
