@@ -8,7 +8,9 @@ and type) and the `correlation_matrix` bytes over fixed HS, isotropic
 and decohered states, one line of `verify_locality_observation`
 outcomes, one digit each, and one sha256 line of `von_neumann_entropy`
 beyond two qubits: erased(k) at the k above, d = 3 isotropic states, the
-k = 4 symmetric extension and its (A, B_i) marginals.
+k = 4 symmetric extension and its (A, B_i) marginals.  Last, one sha256
+line of `RngSeed` stream bytes at small and edge keys: 7 normals, a
+small `integers` draw (which caches half a word as a uint32), 3 normals.
 
 Usage: PYTHONPATH=src python scripts/protocol_digest.py
 
@@ -37,6 +39,8 @@ BELL_D = range(2, 9)
 N_HS, N_FS = 1000, 20
 # M - 1 of the tie-band isotropic states
 TIE_OFFSETS = (-1e-6, -1e-9, 0.0, 5e-10, 1e-9, 2e-9, 1e-6)
+STREAM_KEYS = ((0, 0), (5, 17), (2**64 - 1, 0), (0, 2**64 - 1),
+               (2**64 - 1, 2**64 - 1))
 
 
 def outcome_bytes(out) -> bytes:
@@ -70,6 +74,7 @@ def main():
         print(f"bell_state d={d} {digest.hexdigest()}")
     criteria_digests()
     entropy_digest()
+    stream_digest()
 
 
 def tie_band():
@@ -128,6 +133,16 @@ def entropy_digest():
     for rho in states:
         digest.update(np.float64(von_neumann_entropy(rho)).tobytes())
     print(f"von_neumann_entropy {digest.hexdigest()}")
+
+
+def stream_digest():
+    digest = hashlib.sha256()
+    for seed, stream in STREAM_KEYS:
+        gen = RngSeed(seed, stream).generator()
+        for draw in (gen.standard_normal(7), gen.integers(10),
+                     gen.standard_normal(3)):
+            digest.update(draw.tobytes())
+    print(f"RngSeed {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

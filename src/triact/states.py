@@ -5,28 +5,18 @@ stream_index)`` so that Monte Carlo work can be partitioned
 deterministically across workers: stream ``i`` always yields the same
 draws no matter which worker runs it.  The samplers take either an
 ``RngSeed`` or a ``numpy.random.Generator``, which they draw from as it
-stands.  The harness re-keys one Philox per chunk (``_streams``) rather
-than making a fresh one per state; each re-keyed stream gives the same
-bits as ``RngSeed(seed, i)``.
+stands.  ``_streams`` alone keys a Philox, one per chunk re-keyed to
+each stream; ``RngSeed.generator()`` is its chunk of one.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qcore import (MAX_PAIR_D, MAX_TOTAL_DIM, DensityMatrix, PureState,
                     _checked, _kron)
-
-
-# Philox's default counter, 0, as the 4-word array Philox turns it into:
-# numpy converts a scalar counter word by word in Python, an array in one
-# astype copy, so the state is the same, each stream costs about 2 us
-# less to make, and the array is never written.
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -44,40 +34,9 @@ class RngSeed:
             hi_open=True))
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(
-            _philox_key_type()(key), counter=_ZERO_COUNTER))
-
-
-@functools.cache
-def _philox_key_type():
-    """The seed type below, defined on the first ``generator()`` call:
-    its base class lives in numpy.random, which ``import triact`` then
-    does not load."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        """Hands Philox its key as-is.
-
-        ``Philox(key=key)`` first seeds itself from a fresh
-        ``SeedSequence()``, which draws OS entropy, and then overwrites
-        the key.  Passed as the seed, this object is asked for the key
-        instead, so the state equals ``Philox(key=key).state`` and no
-        entropy is drawn.
-        """
-
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"a Philox key is 2 uint64 words, not "
-                                 f"{n_words} of {np.dtype(dtype)}")
-            return self.key
-
-    return PhiloxKey
+        """A fresh Philox Generator at counter 0, keyed by the uint64
+        words (seed, stream_index); no OS entropy is drawn."""
+        return next(_streams(self.seed, (self.stream_index,)))
 
 
 def _psi_plus(d: int) -> np.ndarray:
@@ -139,22 +98,21 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def _streams(seed: int, indices):
-    """Yield, for each i of ``indices``, a Generator in the state that
-    ``RngSeed(seed, i).generator()`` starts in, so with its draws.
+    """Yield, for each i of ``indices``, a Generator in the state of a
+    fresh Philox keyed by the uint64 words (seed, i), so with its draws.
 
     One Philox and Generator serve every i: the public ``state`` setter
     re-keys it to counter 0, key (seed, i), an empty buffer and no cached
     uint32, at a fraction of the cost of a fresh stream.  The yielded
     Generator is valid until the next one is drawn."""
-    gen = RngSeed(seed).generator()
+    # a fixed seed draws no OS entropy; the setter overwrites its state
+    gen = np.random.Generator(np.random.Philox(0))
     bitgen = gen.bit_generator
-    # stream (seed, 0) as numpy starts it, its arrays as lists of Python
-    # ints, which the setter converts faster than numpy's
-    fresh = bitgen.state
-    key = fresh["state"]["key"].tolist()
-    state = {**fresh, "buffer": fresh["buffer"].tolist(),
-             "state": {"counter": fresh["state"]["counter"].tolist(),
-                       "key": key}}
+    # numpy's public Philox state format; lists set faster than arrays
+    key = [seed, 0]
+    state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
+             "state": {"counter": [0] * 4, "key": key},
+             "has_uint32": 0, "uinteger": 0}
     for i in indices:
         key[1] = i
         bitgen.state = state

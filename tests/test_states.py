@@ -173,6 +173,13 @@ def _rekeyed(seed, stream, leave):
     return next(streams)
 
 
+def _numpy_stream(seed, stream):
+    """Stream (seed, stream) as numpy's own Philox keys it (a list key
+    mixing 2**64 - 1 and a small word would not convert)."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _philox_state(gen):
     st = gen.bit_generator.state
     return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
@@ -187,44 +194,38 @@ def test_rekeyed_stream_equals_a_fresh_stream_bit_for_bit(seed, stream,
                                                           leave):
     left = next(states._streams(seed, [stream ^ 1]))
     leave(left)
-    assert _philox_state(left) != _philox_state(
-        RngSeed(seed, stream ^ 1).generator())
+    assert _philox_state(left) != _philox_state(_numpy_stream(seed,
+                                                              stream ^ 1))
     gen = _rekeyed(seed, stream, leave)
-    fresh = RngSeed(seed, stream).generator()
+    fresh = _numpy_stream(seed, stream)
     assert _philox_state(gen) == _philox_state(fresh)
     assert gen.standard_normal(1000).tobytes() == \
         fresh.standard_normal(1000).tobytes()
     assert gen.integers(2**63, size=100).tobytes() == \
         fresh.integers(2**63, size=100).tobytes()
-    # the samplers draw from a given Generator as from the RngSeed
-    want = random_mixed_hs(4, RngSeed(seed, stream), dims=(2, 2))
+    # the samplers draw from a re-keyed Generator as from numpy's own
+    want = random_mixed_hs(4, _numpy_stream(seed, stream), dims=(2, 2))
     got = random_mixed_hs(4, _rekeyed(seed, stream, leave), dims=(2, 2))
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.spectrum.tobytes() == want.spectrum.tobytes()
-    want = random_pure_fs(4, RngSeed(seed, stream), dims=(2, 2))
+    want = random_pure_fs(4, _numpy_stream(seed, stream), dims=(2, 2))
     got = random_pure_fs(4, _rekeyed(seed, stream, leave), dims=(2, 2))
     assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
 
-def test_zero_counter_is_read_only_and_stays_zero():
-    # every generator() starts Philox from this array; Philox copies it
-    counter = states._ZERO_COUNTER
-    assert counter.dtype == np.uint64 and counter.shape == (4,)
-    assert not counter.flags.writeable
-    rng = RngSeed(3, 9).generator()
-    rng.standard_normal(1000)
-    assert rng.bit_generator.state["state"]["counter"].any()
-    assert counter.tobytes() == bytes(32)
-    with pytest.raises(ValueError):
-        counter[0] = 1
-
-
-def test_philox_key_serves_only_a_philox_key_request():
-    key = states._philox_key_type()(np.array([1, 2], dtype=np.uint64))
-    with pytest.raises(ValueError):
-        key.generate_state(4, np.uint64)   # what PCG64 asks for
-    with pytest.raises(ValueError):
-        key.generate_state(2, np.uint32)
+def test_generators_and_a_live_chunk_stream_share_no_state():
+    # two RngSeed generators and a chunk's live Generator, held at once
+    # and drawn from in turn: one shared Philox would mix their draws
+    for seed in (5, 2**64 - 1):
+        chunk = states._streams(seed, [2, 3])
+        gens = [RngSeed(seed, 0).generator(), RngSeed(seed, 1).generator(),
+                next(chunk)]
+        refs = [_numpy_stream(seed, i) for i in range(3)]
+        assert len({id(g) for g in gens}) == 3
+        assert len({id(g.bit_generator) for g in gens}) == 3
+        for leave in (*LEAVE.values(), lambda gen: gen.standard_normal(99)):
+            for gen, ref in zip(gens, refs):
+                assert leave(gen).tobytes() == leave(ref).tobytes()
 
 
 def _literal_gaussian(rng, shape):
