@@ -22,6 +22,8 @@ experiments=(
     "census_t2 census --n-states 5000 --threads 2 --out census_t2.csv"
     "census_json census --n-states 2000 --format json --out census.json"
     "census_maxseed census --n-states 4100 --seed 18446744073709551615 --out census_maxseed.csv"
+    "census_noout census --n-states 3000 --seed 5"
+    "census_json_chunks census --n-states 5000 --format json --out census_chunks.json"
     "sweep_ad sweep --channel ad --n-states 50 --steps 300 --format json --out sweep_ad.json"
     "sweep_pd sweep --channel pd --n-states 50 --steps 300 --format json --out sweep_pd.json"
     "sweep_pdv sweep --channel pd-verbatim --n-states 50 --steps 300 --format json --out sweep_pdv.json"
@@ -32,6 +34,7 @@ experiments=(
     "sweep_pd1000 sweep --channel pd --n-states 100 --steps 1000 --format json --out sweep_pd1000.json"
     "sweep_t2 sweep --channel ad --n-states 4100 --steps 20 --threads 2 --out sweep_t2.csv"
     "sweep_d_t2 sweep --channel d --n-states 2000 --steps 100 --threads 2 --out sweep_d_t2.csv"
+    "sweep_json_chunks sweep --channel ad --n-states 1100 --steps 50 --format json --out sweep_chunks.json"
     "verify verify --out verify.json"
     "verify_k verify --seed 3 --k 7.5 --p 0.35 --out verify_k.json"
     "verify_p1 verify --p 1 --out verify_p1.json"

@@ -3,13 +3,16 @@
 Every experiment is deterministic given its config: state ``i`` always
 draws from the Philox stream ``(seed, i)``, so results do not depend on
 the number of workers or their scheduling, and aggregation is
-order-insensitive.  Records are written ordered by state index with a
-fixed float format, which makes CSV output byte-identical across runs.
+order-insensitive.  Records are written ordered by state index, each
+chunk's as it arrives, with a fixed float format, which makes CSV output
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
+import functools
 import json
 import math
 import os
@@ -29,7 +32,9 @@ CHANNELS = {
     "D": channels.make_d,
 }
 
-CHUNK_SIZE = 4096  # states per census chunk, one worker task
+# States per census chunk, one worker task.  A census holds one chunk at
+# a time: its (n, 4, 4) stack, classify_batch's temporaries and its rows.
+CHUNK_SIZE = 1024
 # States per sweep chunk: the paper's 2000-state sweep makes four, so two
 # workers share it, and perfbench's 25-state sweep stays one.
 SWEEP_CHUNK_SIZE = 500
@@ -98,20 +103,43 @@ def _fmt(x) -> str:
     return _CSV_FORMATS.get(np.asarray(x).dtype.kind, "%s") % x
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a new file next to ``path``, then move it onto
-    ``path``: the target holds either all of ``text`` or what it held
-    before, and the new file never outlives a failure."""
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+@contextlib.contextmanager
+def _output_error(path: str):
+    """An OSError in the block, raised again as the HarnessIOError of
+    ``path``."""
     try:
-        with open(tmp, "x", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
+        yield
+    except OSError as exc:
+        raise HarnessIOError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_atomic(path: str, pieces) -> None:
+    """Write the text pieces of the iterable ``pieces``, in order, to a
+    new file next to ``path``, then move it onto ``path``: the target
+    holds either all of the text or what it held before, and the new file
+    never outlives a failure.  A directory at ``path``, which the move
+    would refuse, is refused and the new file opened before the first
+    piece is asked for, so that a bad path fails before ``pieces``
+    computes anything.  An OSError of the file becomes a HarnessIOError;
+    what ``pieces`` raises propagates as it is."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    with _output_error(path):
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        fh = open(tmp, "x", newline="")
+    try:
+        for piece in pieces:
+            with _output_error(path):
+                fh.write(piece)
+        with _output_error(path):
+            fh.close()
+            os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            fh.close()
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
-        if isinstance(exc, OSError):
-            raise HarnessIOError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -132,42 +160,60 @@ def _json_cells(col: np.ndarray) -> list:
     return list(map(json.dumps, values))
 
 
-def _json_text(cols: dict, summary: dict) -> str:
-    """``json.dumps({"records": [...], "summary": summary}, indent=1)``
-    plus a newline, with the records filled into one template per row."""
-    keys = (json.dumps(name).replace("%", "%%") for name in cols)
-    template = "  {\n" + ",\n".join(f"   {key}: %s" for key in keys) + "\n  }"
-    rows = zip(*map(_json_cells, cols.values()))
-    records = ",\n".join(template % row for row in rows)
-    head = f"[\n{records}\n ]" if records else "[]"
+def _json_pieces(blocks, summarize):
+    """``json.dumps({"records": [...], "summary": summarize()},
+    indent=1)`` plus a newline, a piece per block, with each block's
+    records filled into one template per row."""
+    yield '{\n "records": ['
+    sep = "\n"  # before the first record; ",\n" before the others
+    for cols in blocks:
+        keys = (json.dumps(name).replace("%", "%%") for name in cols)
+        template = ("  {\n" + ",\n".join(f"   {key}: %s" for key in keys)
+                    + "\n  }")
+        rows = zip(*map(_json_cells, cols.values()))
+        records = ",\n".join(template % row for row in rows)
+        if records:
+            yield sep + records
+            sep = ",\n"
     # json.dumps writes the summary, less the opening brace and newline.
-    tail = json.dumps({"summary": summary}, indent=1)[2:]
-    return f'{{\n "records": {head},\n{tail}\n'
+    tail = json.dumps({"summary": summarize()}, indent=1)[2:]
+    yield ("]" if sep == "\n" else "\n ]") + f",\n{tail}\n"
 
 
-def _csv_text(cols: dict, summary: dict) -> str:
+def _csv_pieces(blocks, summarize):
     """What ``csv.writer`` writes for the header, one row of ``_fmt``
-    cells per record and one ``# key`` row per summary key.  No name or
-    cell a runner writes needs quoting, so every row is filled into a
-    template; object columns go through ``_fmt`` value by value."""
-    template = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s")
-                        for c in cols.values()) + "\r\n"
-    cells = (c.tolist() if c.dtype.kind in _CSV_FORMATS
-             else list(map(_fmt, c.tolist())) for c in cols.values())
-    keys = ("# %s,%s\r\n" % (key, _fmt(summary[key]))
-            for key in sorted(summary))
-    return "".join([",".join(cols) + "\r\n",
-                    *(template % row for row in zip(*cells)), *keys])
+    cells per record and one ``# key`` row per key of ``summarize()``, a
+    piece per block.  No name or cell a runner writes needs quoting, so
+    every row is filled into a template; object columns go through
+    ``_fmt`` value by value."""
+    for i, cols in enumerate(blocks):
+        if i == 0:
+            yield ",".join(cols) + "\r\n"
+        template = ",".join(_CSV_FORMATS.get(c.dtype.kind, "%s")
+                            for c in cols.values()) + "\r\n"
+        cells = (c.tolist() if c.dtype.kind in _CSV_FORMATS
+                 else list(map(_fmt, c.tolist())) for c in cols.values())
+        yield "".join(template % row for row in zip(*cells))
+    summary = summarize()
+    yield "".join("# %s,%s\r\n" % (key, _fmt(summary[key]))
+                  for key in sorted(summary))
 
 
-def _write_table(cfg: ExperimentConfig, cols: dict, summary: dict):
-    """Write one record per row of ``cols`` (field name -> 1-D array, all
-    of one length, in column order) and the summary, as CSV or JSON."""
-    if cfg.output_format == "json":
-        text = _json_text(cols, summary)
+def _write_table(cfg: ExperimentConfig, blocks, summarize) -> dict:
+    """Run ``blocks``, an iterable of record blocks (field name -> 1-D
+    array, all of one length, in column order; one block at least), and
+    return ``summarize()``, which is called once, after the last block.
+    With an output path each block is written as it comes, and the
+    summary after the records, as CSV or JSON; without one the blocks
+    are dropped."""
+    summarize = functools.cache(summarize)
+    if cfg.output_path:
+        render = _json_pieces if cfg.output_format == "json" else _csv_pieces
+        _write_atomic(cfg.output_path, render(blocks, summarize))
     else:
-        text = _csv_text(cols, summary)
-    _write_atomic(cfg.output_path, text)
+        for _ in blocks:
+            pass
+    return summarize()
 
 
 def _chunks(n: int, size: int):
@@ -176,20 +222,28 @@ def _chunks(n: int, size: int):
 
 
 def _run_chunked(worker, cfg: ExperimentConfig, size: int, *args):
-    """Map worker(seed, indices, *args) over the index chunks of ``size``
-    states of the n_states, in processes when threads > 1 and there is
-    more than one chunk."""
-    chunk_args = [(cfg.seed, idx, *args)
-                  for idx in _chunks(cfg.n_states, size)]
+    """Yield (indices, worker(seed, indices, *args)) for the index chunks
+    of ``size`` states of the n_states, in order, in processes when
+    threads > 1 and there is more than one chunk.  Nothing runs before
+    the first chunk is asked for.  When the generator stops early, by an
+    exception or by close(), the pool's pending chunks are cancelled."""
+    chunks = list(_chunks(cfg.n_states, size))
     # Every worker of the pool is started on the first submit, so never
     # ask for more of them than there are chunks or CPUs.
-    workers = min(cfg.threads, len(chunk_args), os.cpu_count() or 1)
+    workers = min(cfg.threads, len(chunks), os.cpu_count() or 1)
     if workers == 1:
-        return [worker(*a) for a in chunk_args]
+        for idx in chunks:
+            yield idx, worker(cfg.seed, idx, *args)
+        return
     # Imported here: a serial run never loads the process-pool machinery.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, *zip(*chunk_args)))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    n = len(chunks)
+    try:
+        yield from zip(chunks, pool.map(worker, [cfg.seed] * n, chunks,
+                                        *([a] * n for a in args)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------- census
@@ -208,31 +262,35 @@ def _census_chunk(seed: int, indices):
 
 def run_census(cfg: ExperimentConfig):
     """Classify n_states Hilbert-Schmidt-random two-qubit states."""
-    parts = _run_chunked(_census_chunk, cfg, CHUNK_SIZE)
     n = cfg.n_states
-    cols = {"state_index": np.arange(n),
-            **{f: np.concatenate([p[f] for p in parts]) for f in parts[0]}}
-    no_viol = int(np.sum(~cols["violates_chsh"]))
-    nlr = int(np.sum(cols["nonlocal_resource"]))
+    no_viol = nlr = 0
+
+    def blocks(parts):
+        nonlocal no_viol, nlr
+        for idx, part in parts:
+            no_viol += int(np.count_nonzero(~part["violates_chsh"]))
+            nlr += int(np.count_nonzero(part["nonlocal_resource"]))
+            yield {"state_index": np.arange(idx.start, idx.stop), **part}
 
     def frac_se(count):
         f = count / n
         return f, math.sqrt(f * (1 - f) / n)
 
-    f_nv, se_nv = frac_se(no_viol)
-    f_nlr, se_nlr = frac_se(nlr)
-    f_cond = nlr / no_viol if no_viol else 0.0
-    summary = {
-        "n_states": n,
-        "frac_no_chsh_violation": f_nv,
-        "frac_no_chsh_violation_se": se_nv,
-        "frac_nlr_of_all": f_nlr,
-        "frac_nlr_of_all_se": se_nlr,
-        "frac_nlr_of_nonviolating": f_cond,
-    }
-    if cfg.output_path:
-        _write_table(cfg, cols, summary)
-    return summary
+    def summarize():
+        f_nv, se_nv = frac_se(no_viol)
+        f_nlr, se_nlr = frac_se(nlr)
+        return {
+            "n_states": n,
+            "frac_no_chsh_violation": f_nv,
+            "frac_no_chsh_violation_se": se_nv,
+            "frac_nlr_of_all": f_nlr,
+            "frac_nlr_of_all_se": se_nlr,
+            "frac_nlr_of_nonviolating": nlr / no_viol if no_viol else 0.0,
+        }
+
+    with contextlib.closing(
+            _run_chunked(_census_chunk, cfg, CHUNK_SIZE)) as parts:
+        return _write_table(cfg, blocks(parts), summarize)
 
 
 # ----------------------------------------------------------------- sweep
@@ -308,27 +366,37 @@ def run_decoherence_sweep(cfg: ExperimentConfig):
     """Locally decohere FS-random pure states over a t grid and track the
     interval where they are nonlocal resources."""
     ts = np.linspace(0.0, 1.0, cfg.n_time_steps)
-    parts = _run_chunked(_sweep_chunk, cfg, SWEEP_CHUNK_SIZE, cfg.channel,
-                         ts)
-    cols = {"state_index": np.arange(cfg.n_states),
-            **_interval_columns(np.concatenate(parts, axis=0), ts)}
-    widths, activated = cols["width"], cols["activated"]
-    n_act = int(activated.sum())
-    act_widths = widths[activated] if n_act else np.zeros(1)
-    summary = {
-        "n_states": cfg.n_states,
-        "n_time_steps": cfg.n_time_steps,
-        "channel": cfg.channel,
-        "pct_nlr_states": 100.0 * n_act / cfg.n_states,
-        "mean_interval_width_activated": float(act_widths.mean()),
-        "std_interval_width_activated": float(act_widths.std()),
-        "mean_interval_width_all": float(widths.mean()),
-        "std_interval_width_all": float(widths.std()),
-        "n_multi_interval": int(cols["multi_interval"].sum()),
-    }
-    if cfg.output_path:
-        _write_table(cfg, cols, summary)
-    return summary
+    # the per-state columns the summary reads, a block at a time
+    kept = {"width": [], "activated": [], "multi_interval": []}
+
+    def blocks(parts):
+        for idx, flags in parts:
+            cols = {"state_index": np.arange(idx.start, idx.stop),
+                    **_interval_columns(flags, ts)}
+            for name, col in kept.items():
+                col.append(cols[name])
+            yield cols
+
+    def summarize():
+        widths, activated, multi = (np.concatenate(kept[name])
+                                    for name in kept)
+        n_act = int(activated.sum())
+        act_widths = widths[activated] if n_act else np.zeros(1)
+        return {
+            "n_states": cfg.n_states,
+            "n_time_steps": cfg.n_time_steps,
+            "channel": cfg.channel,
+            "pct_nlr_states": 100.0 * n_act / cfg.n_states,
+            "mean_interval_width_activated": float(act_widths.mean()),
+            "std_interval_width_activated": float(act_widths.std()),
+            "mean_interval_width_all": float(widths.mean()),
+            "std_interval_width_all": float(widths.std()),
+            "n_multi_interval": int(multi.sum()),
+        }
+
+    with contextlib.closing(_run_chunked(
+            _sweep_chunk, cfg, SWEEP_CHUNK_SIZE, cfg.channel, ts)) as parts:
+        return _write_table(cfg, blocks(parts), summarize)
 
 
 # ------------------------------------------------------ protocol checks
@@ -398,7 +466,7 @@ def run_protocol_verify(cfg: ExperimentConfig):
 
     summary = _report(checks)
     if cfg.output_path:
-        _write_atomic(cfg.output_path, json.dumps(summary, indent=1) + "\n")
+        _write_atomic(cfg.output_path, [json.dumps(summary, indent=1) + "\n"])
     return summary
 
 
@@ -453,10 +521,8 @@ def run_iso_curve(cfg: ExperimentConfig):
     }
     violates = act["violates_chsh"]
     crossing = float(ps[violates.argmax()]) if violates.any() else None
-    summary = {"activated_crossing_p": crossing}
-    if cfg.output_path:
-        _write_table(cfg, cols, summary)
-    return summary
+    return _write_table(cfg, [cols],
+                        lambda: {"activated_crossing_p": crossing})
 
 
 RUNNERS = {

@@ -62,7 +62,7 @@ def einsum_correlation_matrix(rho):
 
 
 def test_correlation_matrix_bit_identical_to_einsum():
-    # One 4096-state census chunk (seed 0), and FS states decohered by
+    # The first 4096 census states (seed 0), and FS states decohered by
     # each channel along an 11-point t grid.
     states = [random_mixed_hs(4, RngSeed(0, i), dims=(2, 2))
               for i in range(4096)]
@@ -235,9 +235,11 @@ def assert_classify_batch_bit_identical(mats):
 
 
 def test_classify_batch_bit_identical_on_census_chunks():
-    # A full 4096-state census chunk and the 1696-state last chunk of a
-    # 100k census, from the seed-0 stream; then a single matrix.
-    for idx in (range(4096), range(98304, 100000)):
+    # A full census chunk and the short last chunk of a 100k census, from
+    # the seed-0 stream; then a single matrix.
+    last = list(harness._chunks(100_000, harness.CHUNK_SIZE))[-1]
+    assert len(last) < harness.CHUNK_SIZE
+    for idx in (range(harness.CHUNK_SIZE), last):
         assert_classify_batch_bit_identical(np.stack([
             random_mixed_hs(4, RngSeed(0, i), dims=(2, 2)).matrix
             for i in idx]))
@@ -292,7 +294,7 @@ def test_classify_batch_requires_stack_of_4x4():
 
 def spectra_batches(monkeypatch):
     """The (mats, spectra) pairs the harness hands `classify_batch`: one
-    4096-state census chunk, then the verify batch and the iso-curve's
+    full census chunk, then the verify batch and the iso-curve's
     201 conditional states; batches without spectra are left out."""
     calls = []
 
@@ -303,10 +305,11 @@ def spectra_batches(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(criteria, "classify_batch", recording)
-        harness._census_chunk(0, range(4096))
+        harness._census_chunk(0, range(harness.CHUNK_SIZE))
         harness.run_protocol_verify(ExperimentConfig(experiment="protocol_verify"))
         harness.run_iso_curve(ExperimentConfig(experiment="iso_curve"))
-    assert [len(mats) for mats, _ in calls] == [4096, 15, 201]
+    assert ([len(mats) for mats, _ in calls]
+            == [harness.CHUNK_SIZE, 15, 201])
     return calls
 
 
