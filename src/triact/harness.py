@@ -10,6 +10,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import errno
 import functools
@@ -32,8 +33,9 @@ CHANNELS = {
     "D": channels.make_d,
 }
 
-# States per census chunk, one worker task.  A census holds one chunk at
-# a time: its (n, 4, 4) stack, classify_batch's temporaries and its rows.
+# States per census chunk, one worker task.  A serial census holds one
+# chunk at a time: its (n, 4, 4) stack, classify_batch's temporaries and
+# its rows.
 CHUNK_SIZE = 1024
 # States per sweep chunk: the paper's 2000-state sweep makes four, so two
 # workers share it, and perfbench's 25-state sweep stays one.
@@ -225,8 +227,11 @@ def _run_chunked(worker, cfg: ExperimentConfig, size: int, *args):
     """Yield (indices, worker(seed, indices, *args)) for the index chunks
     of ``size`` states of the n_states, in order, in processes when
     threads > 1 and there is more than one chunk.  Nothing runs before
-    the first chunk is asked for.  When the generator stops early, by an
-    exception or by close(), the pool's pending chunks are cancelled."""
+    the first chunk is asked for.  A pool has at most two chunks per
+    worker submitted and not yet yielded, so the main process holds a
+    bounded number of results whatever n_states is.  When the generator
+    stops early, by an exception or by close(), the pool's pending
+    chunks are cancelled."""
     chunks = list(_chunks(cfg.n_states, size))
     # Every worker of the pool is started on the first submit, so never
     # ask for more of them than there are chunks or CPUs.
@@ -238,10 +243,15 @@ def _run_chunked(worker, cfg: ExperimentConfig, size: int, *args):
     # Imported here: a serial run never loads the process-pool machinery.
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
-    n = len(chunks)
+    pending = collections.deque()
     try:
-        yield from zip(chunks, pool.map(worker, [cfg.seed] * n, chunks,
-                                        *([a] * n for a in args)))
+        for idx in chunks:
+            pending.append((idx, pool.submit(worker, cfg.seed, idx, *args)))
+            if len(pending) == 2 * workers:
+                done, future = pending.popleft()
+                yield done, future.result()
+        for done, future in pending:
+            yield done, future.result()
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -235,11 +235,13 @@ def assert_classify_batch_bit_identical(mats):
 
 
 def test_classify_batch_bit_identical_on_census_chunks():
-    # A full census chunk and the short last chunk of a 100k census, from
-    # the seed-0 stream; then a single matrix.
+    # From the seed-0 stream: the first 4096 states and the last 1696 of
+    # a 100k census, then a full census chunk and the short last chunk of
+    # a 100k census; then a single matrix.
     last = list(harness._chunks(100_000, harness.CHUNK_SIZE))[-1]
     assert len(last) < harness.CHUNK_SIZE
-    for idx in (range(harness.CHUNK_SIZE), last):
+    for idx in (range(4096), range(98304, 100000),
+                range(harness.CHUNK_SIZE), last):
         assert_classify_batch_bit_identical(np.stack([
             random_mixed_hs(4, RngSeed(0, i), dims=(2, 2)).matrix
             for i in idx]))
@@ -293,9 +295,10 @@ def test_classify_batch_requires_stack_of_4x4():
 
 
 def spectra_batches(monkeypatch):
-    """The (mats, spectra) pairs the harness hands `classify_batch`: one
-    full census chunk, then the verify batch and the iso-curve's
-    201 conditional states; batches without spectra are left out."""
+    """The (mats, spectra) pairs the harness hands `classify_batch`: a
+    census chunk of the first 4096 states and one full census chunk,
+    then the verify batch and the iso-curve's 201 conditional states;
+    batches without spectra are left out."""
     calls = []
 
     def recording(mats, spectra=None):
@@ -305,11 +308,12 @@ def spectra_batches(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(criteria, "classify_batch", recording)
+        harness._census_chunk(0, range(4096))
         harness._census_chunk(0, range(harness.CHUNK_SIZE))
         harness.run_protocol_verify(ExperimentConfig(experiment="protocol_verify"))
         harness.run_iso_curve(ExperimentConfig(experiment="iso_curve"))
     assert ([len(mats) for mats, _ in calls]
-            == [harness.CHUNK_SIZE, 15, 201])
+            == [4096, harness.CHUNK_SIZE, 15, 201])
     return calls
 
 

@@ -66,8 +66,10 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
         def __init__(self, max_workers):
             built.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
@@ -95,6 +97,37 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
             experiment="decoherence_sweep", n_states=n_states,
             n_time_steps=2, channel="AD", threads=1000))
     assert built == [2, 2, 2]
+
+
+def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
+    """A pool run submits chunks through a window of two per worker: the
+    chunks submitted and not yet yielded never exceed it, and every chunk
+    is yielded once, in order."""
+    submitted = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, seed, idx):
+            submitted.append(idx)
+            future = concurrent.futures.Future()
+            future.set_result(fn(seed, idx))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cfg = census_cfg(n_states=50, threads=3)
+    yielded = []
+    for idx, result in harness._run_chunked(lambda seed, idx: idx.start,
+                                            cfg, 4):
+        assert result == idx.start
+        assert len(submitted) - len(yielded) <= 2 * 3
+        yielded.append(idx)
+    assert yielded == submitted == list(harness._chunks(50, 4))
 
 
 def test_census_single_state_record(tmp_path):
