@@ -80,9 +80,30 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q2, q1, q3
 
 
+def directions(spec: dict) -> dict:
+    """Metric name -> "lower" or "higher", the side BENCHMARK.json's
+    ``spec`` calls better."""
+    return {m["name"]: m["better"]
+            for m in spec["end_to_end"] + spec["per_layer"]}
+
+
+def verdict(parent: list[float], change: list[float],
+            better: str | None) -> tuple[int, bool]:
+    """``(wins, met)`` for one metric over paired runs, ``parent[i]``
+    beside ``change[i]``.  ``wins`` counts the pairs the change won in
+    the direction ``better`` ("lower"; anything else reads as "higher"),
+    ties counting for neither side.  ``met`` says a claimed gain holds:
+    the change won at least 9 in 10 of the pairs, and its median beats
+    the parent's by more than the parent's quartile spread (q3 - q1)."""
+    sign = -1 if better == "lower" else 1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_med, p_q1, p_q3 = _quartiles(parent)
+    gap = sign * (_quartiles(change)[0] - p_med)
+    return wins, 10 * wins >= 9 * len(parent) and gap > p_q3 - p_q1
+
+
 def _summary(spec: dict, runs: list[dict]) -> None:
-    better = {m["name"]: m["better"]
-              for m in spec["end_to_end"] + spec["per_layer"]}
+    better = directions(spec)
     pairs = {}
     for r in runs:
         pairs.setdefault(r["pair"], {})[r["side"]] = r["contract"]
@@ -102,12 +123,8 @@ def _summary(spec: dict, runs: list[dict]) -> None:
             vals[side] = [p[side]["metrics"][name]["value"] for p in pairs]
             med, q1, q3 = _quartiles(vals[side])
             cols.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
-        sign = -1 if better.get(name) == "lower" else 1
-        wins = sum(sign * (c - p) > 0
-                   for p, c in zip(vals["parent"], vals["change"]))
-        p_med, p_q1, p_q3 = _quartiles(vals["parent"])
-        gap = sign * (_quartiles(vals["change"])[0] - p_med)
-        met = 10 * wins >= 9 * len(pairs) and gap > p_q3 - p_q1
+        wins, met = verdict(vals["parent"], vals["change"],
+                            better.get(name))
         print(f"{name:32} {cols[0]:>32} {cols[1]:>32}  "
               f"{f'{wins}/{len(pairs)}':>11}  {'met' if met else 'not met'}")
 

@@ -234,8 +234,11 @@ def _run_chunked(worker, cfg: ExperimentConfig, size: int, *args):
     chunks are cancelled."""
     chunks = list(_chunks(cfg.n_states, size))
     # Every worker of the pool is started on the first submit, so never
-    # ask for more of them than there are chunks or CPUs.
-    workers = min(cfg.threads, len(chunks), os.cpu_count() or 1)
+    # ask for more of them than there are chunks or CPUs this process may
+    # run on (its affinity set, where the platform has one).
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.threads, len(chunks), cpus)
     if workers == 1:
         for idx in chunks:
             yield idx, worker(cfg.seed, idx, *args)

@@ -70,7 +70,11 @@ def require_hermitian(m) -> np.ndarray:
     a = _as_complex_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix is not square: {a.shape}")
-    dev = abs(a - a.conj().T).max()
+    dev = abs(a - a.conj().T)
+    # the deviations are >= 0 or NaN, so the entry argmax picks (the first
+    # NaN, if any) is the max, without the reduction set-up of .max();
+    # an empty matrix keeps .max()'s error
+    dev = dev.item(dev.argmax()) if dev.size else dev.max()
     if not dev <= HERMITICITY_TOL:
         raise ValidationError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return a
@@ -145,6 +149,13 @@ def _require_psd(m: np.ndarray) -> np.ndarray:
 def _checked_dims(dims) -> tuple:
     """``(dims, total)``: ``dims`` as Python ints >= 1 and their product,
     at most MAX_TOTAL_DIM, else DimensionError; run before any array."""
+    # a tuple of Python ints >= 1 under the cap is its own answer; any
+    # other value, or a failure, takes the gate below and its message
+    if dims.__class__ is tuple and all([d.__class__ is int and d >= 1
+                                        for d in dims]):
+        total = math.prod(dims)
+        if total <= MAX_TOTAL_DIM:
+            return dims, total
     dims = tuple([_checked(d, "dims", 1, integer=True, error=DimensionError)
                   for d in _items(dims, "dims", error=DimensionError)])
     total = math.prod(dims)
@@ -217,7 +228,8 @@ class DensityMatrix:
         w = _require_psd(m)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", w)
-        m.flags.writeable = w.flags.writeable = False
+        m.setflags(write=False)
+        w.setflags(write=False)
 
     @classmethod
     def cleaned(cls, matrix, dims: Sequence[int]) -> "DensityMatrix":

@@ -140,8 +140,8 @@ def random_mixed_hs(d_total: int, rng, dims=None) -> DensityMatrix:
     """
     d_total = _checked(d_total, "d_total", 2, MAX_TOTAL_DIM, integer=True)
     g = _complex_gaussian(_generator(rng), (d_total, d_total))
-    m = np.dot(g, g.conj().T)  # the zgemm of @, without matmul's set-up
-    m /= m.diagonal().sum().real  # ndarray.trace's reduction, unwrapped
+    m = g.dot(g.conj().T)  # np.dot's zgemm, without its dispatch
+    m /= np.add.reduce(m.diagonal()).real  # ndarray.trace's reduction
     return DensityMatrix(dims if dims is not None else (d_total,), m)
 
 

@@ -56,10 +56,17 @@ def test_census_deterministic_csv(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_worker_count_clamped_to_chunks(monkeypatch):
-    """The pool gets at most one worker per chunk and per CPU, and one
-    chunk runs serially; a fake pool records the request and starts no
-    process."""
+def cpus(monkeypatch, n):
+    """This process may run on ``n`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The worker count of each pool a run asks for: a fake pool, which
+    _run_chunked imports from concurrent.futures, runs the chunks in this
+    process and starts none."""
     built = []
 
     class FakePool:
@@ -74,22 +81,28 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    # _run_chunked imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    return built
+
+
+def test_worker_count_clamped_to_chunks(monkeypatch, built):
+    """The pool gets at most one worker per chunk and per CPU, and one
+    chunk runs serially."""
+    cpus(monkeypatch, 64)
     run_census(census_cfg(n_states=10, threads=1000))
     assert built == []
     run_census(census_cfg(n_states=harness.CHUNK_SIZE + 4, threads=1000))
     assert built == [2]
     # three chunks on two CPUs get two workers; an unknown count gets one
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(monkeypatch, 2)
     run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=1000))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_census(census_cfg(n_states=harness.CHUNK_SIZE + 4, threads=1000))
     assert built == [2, 2]
     # a sweep has chunks of its own size: one state more makes two (its
     # chunks are stubbed, so this counts chunks only)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cpus(monkeypatch, 64)
     monkeypatch.setattr(harness, "_sweep_chunk", lambda seed, idx, ch, ts:
                         np.zeros((len(idx), len(ts)), dtype=bool))
     for n_states in (harness.SWEEP_CHUNK_SIZE, harness.SWEEP_CHUNK_SIZE + 1):
@@ -97,6 +110,19 @@ def test_worker_count_clamped_to_chunks(monkeypatch):
             experiment="decoherence_sweep", n_states=n_states,
             n_time_steps=2, channel="AD", threads=1000))
     assert built == [2, 2, 2]
+
+
+def test_worker_count_reads_the_affinity_set(monkeypatch, built):
+    """The CPUs counted are the ones this process may run on: pinned to
+    one (``taskset -c 0``), ``--threads 2`` runs serially on a 64-CPU
+    machine; without an affinity set the machine's count is read."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cpus(monkeypatch, 1)
+    run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=2))
+    assert built == []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=2))
+    assert built == [2]
 
 
 def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
@@ -119,7 +145,7 @@ def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    cpus(monkeypatch, 64)
     cfg = census_cfg(n_states=50, threads=3)
     yielded = []
     for idx, result in harness._run_chunked(lambda seed, idx: idx.start,

@@ -16,7 +16,8 @@ from triact.qcore import (ENTROPY_CUTOFF, FIDELITY_TOL, HERMITICITY_TOL,
                           PAULI_BASIS, TRACE_TOL, DensityMatrix,
                           DimensionError, PureState, ValidationError, _kron,
                           _spectrum, fidelity_pure, partial_trace,
-                          project_and_condition, tensor, von_neumann_entropy)
+                          project_and_condition, require_hermitian, tensor,
+                          von_neumann_entropy)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
     random_mixed_hs, random_pure_fs
 
@@ -62,6 +63,12 @@ def test_containers_reject_bad_shapes():
         DensityMatrix((2,), np.ones((2, 3)))
     with pytest.raises(DimensionError, match="amplitude length 3 != "):
         PureState((2, 2), [1, 0, 0])
+    # an empty matrix has no largest deviation: numpy's own error, as
+    # ndarray.max raises it
+    with pytest.raises(ValueError) as want:
+        np.zeros((0, 0)).max()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        require_hermitian(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("scale", [0.5, 2.0])

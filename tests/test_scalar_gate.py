@@ -192,6 +192,38 @@ def test_gated_entry_point_rejects_bad_scalar(call, bad, error, prefix):
         call(bad)
 
 
+def equal_valid_dim(bad):
+    """A small valid dim equal to ``bad`` in value and hash (1 for True, 2
+    for 2.0), else 2."""
+    try:
+        n = int(bad)
+    except (TypeError, ValueError):
+        return 2
+    return n if n == bad and 1 <= n <= 64 else 2
+
+
+@pytest.mark.parametrize(
+    "call, bad, error, prefix",
+    [pytest.param(call, bad, error, prefix, id=f"{name}={bad!r}")
+     for name, call, bads, error, prefix in GATED if " dims" in name
+     for bad in bads])
+def test_dims_gate_holds_after_equal_valid_dims(call, bad, error, prefix):
+    """A valid state over dims equal to the bad ones, built first, changes
+    no rejection: ``(True, 2) == (1, 2)`` and their hashes match, so a
+    cache of checked dims keyed by value would let ``(True, 2)`` pass."""
+    with pytest.raises(error) as first:
+        call(bad)
+    n = equal_valid_dim(bad)
+    DensityMatrix((n, 2), np.eye(2 * n) / (2 * n))
+    PureState((n,), unit(n))
+    with pytest.raises(error, match=f"^{re.escape(prefix)}[: ]") as again:
+        call(bad)
+    assert str(again.value) == str(first.value)
+    # numpy integers equal to valid Python dims still come back as ints
+    dims = DensityMatrix((np.int64(2), np.int64(2)), np.eye(4) / 4).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
+
+
 # The (d, d) pair builders and the samplers at their first d over the
 # cap; unchecked, each would build arrays of hundreds of MB.
 OVER_CAP = {
