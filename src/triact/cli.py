@@ -59,7 +59,7 @@ def _with_config(args: argparse.Namespace, argv: list) -> list:
     first, so that explicit flags win.  Known keys this subcommand does
     not read are dropped, so that one file serves several subcommands."""
     tokens = []
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -5,7 +5,6 @@ from triact.channels import (KrausChannel, apply, local_decohere, make_ad,
                              make_d, make_erasure, make_pd,
                              two_qubit_kraus_stack)
 from triact.criteria import correlation_matrix
-from triact.protocols import _weyl
 from triact.qcore import (COMPLETENESS_TOL, DensityMatrix, PureState,
                           ValidationError, fidelity_pure)
 from triact.states import RngSeed, erased, isotropic, max_entangled, \
@@ -334,18 +333,6 @@ def test_two_qubit_kraus_stack_equals_kron_of_pairs():
             want.append([np.kron(a, b) for a in ops for b in ops])
         np.testing.assert_array_equal(two_qubit_kraus_stack(make, ts),
                                       np.array(want))
-
-
-def test_weyl_operators_are_unitary_and_distinct():
-    # the protocols' Weyl unitaries are the written-out X^a Z^b, bit for
-    # bit, unitary and trace-orthogonal
-    for d in (2, 3, 5):
-        ws = [_weyl(d, k) for k in range(d * d)]
-        for k, w in enumerate(ws):
-            assert w.tobytes() == weyl(d, k).tobytes()
-            np.testing.assert_allclose(w @ w.conj().T, np.eye(d), atol=1e-12)
-        gram = [[abs(np.trace(a.conj().T @ b)) for b in ws] for a in ws]
-        np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
 
 
 def test_local_decohere_takes_only_two_qubits():

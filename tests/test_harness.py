@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -43,19 +44,6 @@ def test_config_validation():
             ExperimentConfig(**{field: []})
 
 
-def test_census_deterministic_csv(tmp_path):
-    # CHUNK_SIZE + 4 states make two chunks, so threads=3 runs a real
-    # two-process pool; a pathlib path writes what its str does
-    n_states = harness.CHUNK_SIZE + 4
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"]
-    run_census(census_cfg(n_states=n_states, output_path=str(paths[0])))
-    run_census(census_cfg(n_states=n_states, output_path=paths[1]))
-    run_census(census_cfg(n_states=n_states, output_path=str(paths[2]),
-                          threads=3))
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-
-
 def cpus(monkeypatch, n):
     """This process may run on ``n`` CPUs, whatever the machine has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
@@ -63,43 +51,51 @@ def cpus(monkeypatch, n):
 
 
 @pytest.fixture
-def built(monkeypatch):
-    """The worker count of each pool a run asks for: a fake pool, which
-    _run_chunked imports from concurrent.futures, runs the chunks in this
-    process and starts none."""
-    built = []
+def pools(monkeypatch):
+    """The pools a run builds, each with its ``max_workers`` and the index
+    chunks ``submitted`` to it: a fake pool, which _run_chunked imports
+    from concurrent.futures, runs each chunk in this process as it is
+    submitted and starts none."""
+    pools = []
 
     class FakePool:
         def __init__(self, max_workers):
-            built.append(max_workers)
+            self.max_workers = max_workers
+            self.submitted = []
+            pools.append(self)
 
-        def submit(self, fn, *args):
+        def submit(self, fn, seed, idx, *args):
+            self.submitted.append(idx)
             future = concurrent.futures.Future()
-            future.set_result(fn(*args))
+            future.set_result(fn(seed, idx, *args))
             return future
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return built
+    return pools
 
 
-def test_worker_count_clamped_to_chunks(monkeypatch, built):
+def workers(pools):
+    return [pool.max_workers for pool in pools]
+
+
+def test_worker_count_clamped_to_chunks(monkeypatch, pools):
     """The pool gets at most one worker per chunk and per CPU, and one
     chunk runs serially."""
     cpus(monkeypatch, 64)
     run_census(census_cfg(n_states=10, threads=1000))
-    assert built == []
+    assert workers(pools) == []
     run_census(census_cfg(n_states=harness.CHUNK_SIZE + 4, threads=1000))
-    assert built == [2]
+    assert workers(pools) == [2]
     # three chunks on two CPUs get two workers; an unknown count gets one
     cpus(monkeypatch, 2)
     run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=1000))
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_census(census_cfg(n_states=harness.CHUNK_SIZE + 4, threads=1000))
-    assert built == [2, 2]
+    assert workers(pools) == [2, 2]
     # a sweep has chunks of its own size: one state more makes two (its
     # chunks are stubbed, so this counts chunks only)
     cpus(monkeypatch, 64)
@@ -109,51 +105,36 @@ def test_worker_count_clamped_to_chunks(monkeypatch, built):
         run_decoherence_sweep(ExperimentConfig(
             experiment="decoherence_sweep", n_states=n_states,
             n_time_steps=2, channel="AD", threads=1000))
-    assert built == [2, 2, 2]
+    assert workers(pools) == [2, 2, 2]
 
 
-def test_worker_count_reads_the_affinity_set(monkeypatch, built):
+def test_worker_count_reads_the_affinity_set(monkeypatch, pools):
     """The CPUs counted are the ones this process may run on: pinned to
     one (``taskset -c 0``), ``--threads 2`` runs serially on a 64-CPU
     machine; without an affinity set the machine's count is read."""
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     cpus(monkeypatch, 1)
     run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=2))
-    assert built == []
+    assert workers(pools) == []
     monkeypatch.delattr(os, "sched_getaffinity")
     run_census(census_cfg(n_states=2 * harness.CHUNK_SIZE + 1, threads=2))
-    assert built == [2]
+    assert workers(pools) == [2]
 
 
-def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch):
+def test_pool_holds_at_most_two_chunks_per_worker(monkeypatch, pools):
     """A pool run submits chunks through a window of two per worker: the
     chunks submitted and not yet yielded never exceed it, and every chunk
     is yielded once, in order."""
-    submitted = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pass
-
-        def submit(self, fn, seed, idx):
-            submitted.append(idx)
-            future = concurrent.futures.Future()
-            future.set_result(fn(seed, idx))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     cpus(monkeypatch, 64)
     cfg = census_cfg(n_states=50, threads=3)
     yielded = []
     for idx, result in harness._run_chunked(lambda seed, idx: idx.start,
                                             cfg, 4):
         assert result == idx.start
-        assert len(submitted) - len(yielded) <= 2 * 3
+        assert len(pools[0].submitted) - len(yielded) <= 2 * 3
         yielded.append(idx)
-    assert yielded == submitted == list(harness._chunks(50, 4))
+    assert yielded == pools[0].submitted == list(harness._chunks(50, 4))
+    assert workers(pools) == [3]
 
 
 def test_census_single_state_record(tmp_path):
@@ -286,47 +267,45 @@ def test_sweep_two_step_grid_endpoints():
     assert s["pct_nlr_states"] == 0.0
 
 
-def test_sweep_deterministic_across_threads(tmp_path):
-    # SWEEP_CHUNK_SIZE + 4 states make two chunks, so threads=2 runs a real
-    # two-process pool.  On 5 steps about a quarter of the AD states are
-    # activated (none on 2 or 3), so records that left their place would
-    # show.
-    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    for path, threads in zip(paths, (1, 2)):
-        run_decoherence_sweep(ExperimentConfig(
-            experiment="decoherence_sweep",
-            n_states=harness.SWEEP_CHUNK_SIZE + 4,
-            n_time_steps=5, channel="AD", seed=4, threads=threads,
-            output_path=str(path)))
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_records_do_not_depend_on_chunking(tmp_path, monkeypatch, fmt):
     """Census and sweep files written in several chunks, the last one
-    short, serially and on two workers, hold the bytes of one chunk.  The
-    PD_verbatim sweep has states never activated and states with several
-    NLR intervals."""
-    runs = {
+    short, serially and on two workers, hold the bytes of one chunk, as
+    does one written to a pathlib path."""
+    sweep = functools.partial(ExperimentConfig,
+                              experiment="decoherence_sweep")
+    # the runner, the name and value of its short chunk size, its config
+    rows = (
         # 30 states in chunks of 7: four full ones and a short one
-        "census": (run_census, "CHUNK_SIZE", 7, census_cfg(n_states=30)),
-        # 10 states in chunks of 3: three full ones and a short one
-        "sweep": (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", 3,
-                  ExperimentConfig(experiment="decoherence_sweep",
-                                   n_states=10, n_time_steps=50,
-                                   channel="PD_verbatim", seed=1)),
-    }
-    for name, (runner, size_name, size, cfg) in runs.items():
+        (run_census, "CHUNK_SIZE", 7, census_cfg(n_states=30)),
+        # the default chunks: a full one and one of 4 states
+        (run_census, "CHUNK_SIZE", harness.CHUNK_SIZE,
+         census_cfg(n_states=harness.CHUNK_SIZE + 4)),
+        # 10 states in chunks of 3: three full ones and a short one; the
+        # PD_verbatim sweep has states never activated and states with
+        # several NLR intervals
+        (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", 3,
+         sweep(n_states=10, n_time_steps=50, channel="PD_verbatim", seed=1)),
+        # the default chunks: a full one and one of 4 states.  On 5 steps
+        # about a quarter of the AD states are activated (none on 2 or
+        # 3), so records that left their place would show.
+        (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", harness.SWEEP_CHUNK_SIZE,
+         sweep(n_states=harness.SWEEP_CHUNK_SIZE + 4, n_time_steps=5,
+               channel="AD", seed=4)),
+    )
+    for row, (runner, size_name, size, cfg) in enumerate(rows):
         blobs, summaries = [], []
-        for chunk, threads in ((cfg.n_states, 1), (size, 1), (size, 2)):
+        for chunk, threads, as_path in ((cfg.n_states, 1, str),
+                                        (size, 1, str), (size, 1, Path),
+                                        (size, 2, str)):
             monkeypatch.setattr(harness, size_name, chunk)
-            path = tmp_path / f"{name}_{chunk}_t{threads}.{fmt}"
+            path = tmp_path / f"{row}_{chunk}_t{threads}_{as_path.__name__}"
             summaries.append(runner(dataclasses.replace(
-                cfg, output_path=str(path), output_format=fmt,
+                cfg, output_path=as_path(path), output_format=fmt,
                 threads=threads)))
             blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2], name
-        assert summaries[0] == summaries[1] == summaries[2], name
+        assert all(blob == blobs[0] for blob in blobs), row
+        assert all(summary == summaries[0] for summary in summaries), row
 
 
 def test_sweep_chunk_memory_bound():
@@ -478,6 +457,10 @@ def test_cli_config_values_parsed_as_flags(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["census", "--config", str(cfg_file)]) == 0
     assert json.loads(capsys.readouterr().out)["n_states"] == 10
+    # a byte-order mark, as Notepad saves UTF-8, is not part of a key
+    cfg_file.write_text("n-states = 10\n", encoding="utf-8-sig")
+    assert cli_main(["census", "--config", str(cfg_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_states"] == 10
     cfg_file.write_text("channel = pd-verbatim\nsteps = 3\n")
     assert cli_main(["sweep", "--config", str(cfg_file),
                      "--n-states", "2"]) == 0
@@ -580,60 +563,6 @@ def test_cli_io_error_exit_3(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == [target]
 
 
-def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
-    """An OSError partway through a write leaves the file at the target
-    byte-identical and no temp file behind."""
-    def failing_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        write = fh.write
-
-        def half_write(text):
-            write(text[:len(text) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        fh.write = half_write
-        return fh
-
-    targets = {"verify.json": lambda path: run_protocol_verify(
-                   ExperimentConfig(experiment="protocol_verify",
-                                    output_path=path)),
-               "census.csv": lambda path: run_census(census_cfg(
-                   n_states=20, output_path=path))}
-    for name, experiment in targets.items():
-        target = tmp_path / name
-        target.write_bytes(b"previous\n")
-        monkeypatch.setattr(harness, "open", failing_open, raising=False)
-        with pytest.raises(HarnessIOError):
-            experiment(str(target))
-        monkeypatch.undo()
-        assert target.read_bytes() == b"previous\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
-    experiment(str(target))
-    assert target.read_text().startswith("state_index,")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(targets)
-
-
-def test_interrupted_write_reraises_and_cleans_up(tmp_path, monkeypatch):
-    """An exception other than OSError partway through a write propagates
-    as it is, with the target unchanged and no temp file behind."""
-    def interrupted_open(*args, **kwargs):
-        fh = open(*args, **kwargs)
-        write = fh.write
-
-        def half_write(text):
-            write(text[:len(text) // 2])
-            raise KeyboardInterrupt
-        fh.write = half_write
-        return fh
-
-    target = tmp_path / "out.csv"
-    target.write_bytes(b"previous\n")
-    monkeypatch.setattr(harness, "open", interrupted_open, raising=False)
-    with pytest.raises(KeyboardInterrupt):
-        harness._write_atomic(str(target), ["new,", "text\n"])
-    assert target.read_bytes() == b"previous\n"
-    assert list(tmp_path.iterdir()) == [target]
-
-
 _CENSUS_CHUNK = harness._census_chunk
 
 
@@ -648,58 +577,90 @@ def _marked_census_chunk(mark_dir, fail_at, error, seed, indices):
     return _CENSUS_CHUNK(seed, indices)
 
 
-def _failing_open(*args, **kwargs):
-    """``open``, with a file whose every write fails for want of space."""
-    fh = open(*args, **kwargs)
+def _failing_open(error, half):
+    """``open``, with a file whose every write raises ``error``, having
+    written the first half of its text when ``half`` and none of it
+    otherwise."""
+    def failing_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
 
-    def write(text):
-        raise OSError(errno.ENOSPC, "No space left on device")
-    fh.write = write
-    return fh
+        def failing_write(text):
+            if half:
+                write(text[:len(text) // 2])
+            raise error
+        fh.write = failing_write
+        return fh
+    return failing_open
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failed_run_keeps_previous_output_and_stops(tmp_path, monkeypatch,
                                                     threads):
-    """A chunk that raises mid-run, and a write that fails, leave the
-    target as it was and no temp file; the error propagates as it is
-    (KeyboardInterrupt too) or, for the write, as a HarnessIOError; and
-    no further chunk starts, so a pool's pending chunks are cancelled,
-    not computed to the end."""
+    """A chunk that raises mid-run, and a write that fails, at once or
+    halfway through its text, leave the target as it was and no temp
+    file; the error propagates as it is (KeyboardInterrupt too) or, for
+    a write's OSError, as a HarnessIOError; and no further chunk starts:
+    a pool's pending chunks are cancelled and its workers have ended by
+    the time the error is caught.  A clean census run afterwards writes
+    the file.  verify's report runs no chunks, so its row is serial."""
     monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
     n_chunks = 40
     marks = tmp_path / "marks"
-    target = tmp_path / "census.csv"
-    # the chunk that fails, what it raises, what the run raises, the
-    # open the writer uses, and the chunks a serial run completes
+    marks.mkdir()
+    target = tmp_path / "out"
+    runners = {
+        "census": functools.partial(run_census, census_cfg(
+            n_states=5 * n_chunks, threads=threads, output_path=str(target))),
+        "verify": functools.partial(run_protocol_verify, ExperimentConfig(
+            experiment="protocol_verify", output_path=str(target))),
+    }
+    nospace = functools.partial(OSError, errno.ENOSPC,
+                                "No space left on device")
+    # the runner, the chunk that fails, what it raises, what the run
+    # raises, the open the writer uses, and the chunks a serial run
+    # completes
     cases = (
-        (15, ValueError("chunk failed"), ValueError, open, 3),
-        (15, KeyboardInterrupt(), KeyboardInterrupt, open, 3),
-        (None, None, HarnessIOError, _failing_open, 1),
+        ("census", 15, ValueError("chunk failed"), ValueError, open, 3),
+        ("census", 15, KeyboardInterrupt(), KeyboardInterrupt, open, 3),
+        ("census", None, None, HarnessIOError,
+         _failing_open(nospace(), half=False), 1),
+        ("census", None, None, HarnessIOError,
+         _failing_open(nospace(), half=True), 1),
+        ("census", None, None, KeyboardInterrupt,
+         _failing_open(KeyboardInterrupt(), half=True), 1),
+        ("verify", None, None, HarnessIOError,
+         _failing_open(nospace(), half=True), 0),
     )
-    for fail_at, raised, expected, opener, serial_runs in cases:
-        marks.mkdir()
+    for name, fail_at, raised, expected, opener, serial_runs in cases:
+        if name == "verify" and threads > 1:
+            continue
         target.write_bytes(b"previous\n")
         monkeypatch.setattr(harness, "_census_chunk", functools.partial(
             _marked_census_chunk, str(marks), fail_at, raised))
         monkeypatch.setattr(harness, "open", opener, raising=False)
         with pytest.raises(expected) as caught:
-            run_census(census_cfg(n_states=5 * n_chunks, threads=threads,
-                                  output_path=str(target)))
+            runners[name]()
+        # The error, and with it the run's frames, are still held here,
+        # yet no worker is left to run another chunk: at most those that
+        # were running or queued for the two workers ran.
+        assert multiprocessing.active_children() == []
         assert target.read_bytes() == b"previous\n"
-        assert sorted(tmp_path.iterdir()) == [target, marks]
+        assert sorted(tmp_path.iterdir()) == [marks, target]
+        done = len(list(marks.iterdir()))
         if threads == 1:
-            assert len(list(marks.iterdir())) == serial_runs, expected
+            assert done == serial_runs, (name, expected)
         else:
-            # While the error, and with it the run's frames, are still
-            # held, no chunk runs on: at most those that were running or
-            # queued for the two workers ran.
-            time.sleep(0.5)
-            assert len(list(marks.iterdir())) < n_chunks // 2, expected
+            assert done < n_chunks // 2, (name, expected)
         del caught
         for mark in marks.iterdir():
             mark.unlink()
-        marks.rmdir()
+        if name == "census":
+            monkeypatch.setattr(harness, "_census_chunk", _CENSUS_CHUNK)
+            monkeypatch.delattr(harness, "open")
+            runners[name]()
+            assert target.read_text().startswith("state_index,")
+            assert sorted(tmp_path.iterdir()) == [marks, target]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),

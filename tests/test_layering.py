@@ -4,9 +4,11 @@ layers below its own, so the shared building blocks (the Pauli basis,
 the Kronecker kernel, the tolerances) live in qcore, and qcore holds no
 private helper or constant that only one other layer reads.  The
 protocols build their own Weyl unitaries and contract states; they
-apply no channel, so they import nothing from channels either."""
+apply no channel, so they import nothing from channels either.  The
+README documents the interface alone, naming no private identifier."""
 
 import ast
+import re
 from pathlib import Path
 
 import triact
@@ -15,6 +17,7 @@ LAYERS = (("qcore",), ("states", "criteria", "channels"), ("protocols",),
           ("harness",), ("cli",))
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 SRC = Path(triact.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def relative_imports(path: Path) -> set:
@@ -77,3 +80,15 @@ def test_qcore_holds_only_shared_names():
     lonely = sorted(n for n in shared
                     if n not in read_in_qcore and importers[n] < 2)
     assert not lonely, f"qcore names read by one other module: {lonely}"
+
+
+def test_readme_names_no_private_identifier():
+    # How private code meets the interface is said in that code's
+    # docstrings and comments. A private identifier is a `_`-prefixed
+    # name component (dunders such as __init__ excepted) in a backticked
+    # span or a fenced block.
+    text = README.read_text(encoding="utf-8")
+    spans = re.findall(r"^```.*?^```|`[^`]+`", text, re.M | re.S)
+    bad = sorted({n for s in spans for n in re.findall(r"(?<![\w*])_\w+", s)
+                  if not re.fullmatch(r"__\w+__", n)})
+    assert not bad, f"README.md names private identifiers: {bad}"

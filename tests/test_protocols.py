@@ -10,7 +10,7 @@ from triact.protocols import (LOCAL_WEIGHT_CUTOFF, M_B0, M_B1, MAX_ERASED_K,
                               build_symmetric_extension, double_teleport,
                               erased_protocol, teleport_distribution,
                               verify_locality_observation, _BELL_BRAS,
-                              _erased_pair_state)
+                              _erased_pair_state, _weyl)
 from triact.qcore import (PSD_TOL, DensityMatrix, PureState, ValidationError,
                           fidelity_pure, partial_trace, project_and_condition,
                           tensor)
@@ -53,6 +53,18 @@ def test_bell_state_equals_literal_formula():
             assert got.tobytes() == want.reshape(-1).tobytes()
             assert _BELL_BRAS[d][k].tobytes() == want.conj().tobytes()
             assert (w @ psi).tobytes() == want.T.tobytes()
+
+
+def test_weyl_operators_are_unitary_and_distinct():
+    # the protocols' Weyl unitaries are the written-out X^a Z^b, bit for
+    # bit, unitary and trace-orthogonal
+    for d in (2, 3, 5):
+        ws = [_weyl(d, k) for k in range(d * d)]
+        for k, w in enumerate(ws):
+            assert w.tobytes() == weyl(d, k).tobytes()
+            np.testing.assert_allclose(w @ w.conj().T, np.eye(d), atol=1e-12)
+        gram = [[abs(np.trace(a.conj().T @ b)) for b in ws] for a in ws]
+        np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
 
 
 def literal_double_teleport(phi, p, d, o1, o2):
