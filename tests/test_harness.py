@@ -267,32 +267,12 @@ def test_sweep_two_step_grid_endpoints():
     assert s["pct_nlr_states"] == 0.0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_records_do_not_depend_on_chunking(tmp_path, monkeypatch, fmt):
-    """Census and sweep files written in several chunks, the last one
-    short, serially and on two workers, hold the bytes of one chunk, as
-    does one written to a pathlib path."""
-    sweep = functools.partial(ExperimentConfig,
-                              experiment="decoherence_sweep")
-    # the runner, the name and value of its short chunk size, its config
-    rows = (
-        # 30 states in chunks of 7: four full ones and a short one
-        (run_census, "CHUNK_SIZE", 7, census_cfg(n_states=30)),
-        # the default chunks: a full one and one of 4 states
-        (run_census, "CHUNK_SIZE", harness.CHUNK_SIZE,
-         census_cfg(n_states=harness.CHUNK_SIZE + 4)),
-        # 10 states in chunks of 3: three full ones and a short one; the
-        # PD_verbatim sweep has states never activated and states with
-        # several NLR intervals
-        (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", 3,
-         sweep(n_states=10, n_time_steps=50, channel="PD_verbatim", seed=1)),
-        # the default chunks: a full one and one of 4 states.  On 5 steps
-        # about a quarter of the AD states are activated (none on 2 or
-        # 3), so records that left their place would show.
-        (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", harness.SWEEP_CHUNK_SIZE,
-         sweep(n_states=harness.SWEEP_CHUNK_SIZE + 4, n_time_steps=5,
-               channel="AD", seed=4)),
-    )
+def _assert_same_bytes(tmp_path, monkeypatch, rows, fmt):
+    """Each row's file written with one chunk serially, with its chunk
+    size serially to a ``str`` path, the same to a pathlib path, and
+    with its chunk size on two workers holds the same bytes, and the
+    runs return the same summary.  A row is the runner, the name and
+    value of its chunk size, and its config."""
     for row, (runner, size_name, size, cfg) in enumerate(rows):
         blobs, summaries = [], []
         for chunk, threads, as_path in ((cfg.n_states, 1, str),
@@ -306,6 +286,50 @@ def test_records_do_not_depend_on_chunking(tmp_path, monkeypatch, fmt):
             blobs.append(path.read_bytes())
         assert all(blob == blobs[0] for blob in blobs), row
         assert all(summary == summaries[0] for summary in summaries), row
+
+
+_sweep_cfg = functools.partial(ExperimentConfig, experiment="decoherence_sweep")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_records_do_not_depend_on_chunking(tmp_path, monkeypatch, fmt):
+    """Census and sweep files written in several chunks, the last one
+    short, serially and on two workers, hold the bytes of one chunk, as
+    does one written to a pathlib path."""
+    _assert_same_bytes(tmp_path, monkeypatch, (
+        # 30 states in chunks of 7: four full ones and a short one
+        (run_census, "CHUNK_SIZE", 7, census_cfg(n_states=30)),
+        # 10 states in chunks of 3: three full ones and a short one; the
+        # PD_verbatim sweep has states never activated and states with
+        # several NLR intervals
+        (run_decoherence_sweep, "SWEEP_CHUNK_SIZE", 3,
+         _sweep_cfg(n_states=10, n_time_steps=50, channel="PD_verbatim",
+                    seed=1)),
+    ), fmt)
+
+
+def test_census_deterministic_csv(tmp_path, monkeypatch):
+    # the default chunks, a full one and one of 4 states, so the
+    # two-worker run is a real two-process pool; JSON is held to the
+    # same bytes too
+    for fmt in ("csv", "json"):
+        _assert_same_bytes(tmp_path, monkeypatch, (
+            (run_census, "CHUNK_SIZE", harness.CHUNK_SIZE,
+             census_cfg(n_states=harness.CHUNK_SIZE + 4)),
+        ), fmt)
+
+
+def test_sweep_deterministic_across_threads(tmp_path, monkeypatch):
+    # the default chunks, a full one and one of 4 states.  On 5 steps
+    # about a quarter of the AD states are activated (none on 2 or 3),
+    # so records that left their place would show.
+    for fmt in ("csv", "json"):
+        _assert_same_bytes(tmp_path, monkeypatch, (
+            (run_decoherence_sweep, "SWEEP_CHUNK_SIZE",
+             harness.SWEEP_CHUNK_SIZE,
+             _sweep_cfg(n_states=harness.SWEEP_CHUNK_SIZE + 4,
+                        n_time_steps=5, channel="AD", seed=4)),
+        ), fmt)
 
 
 def test_sweep_chunk_memory_bound():
@@ -594,44 +618,29 @@ def _failing_open(error, half):
     return failing_open
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_failed_run_keeps_previous_output_and_stops(tmp_path, monkeypatch,
-                                                    threads):
-    """A chunk that raises mid-run, and a write that fails, at once or
-    halfway through its text, leave the target as it was and no temp
-    file; the error propagates as it is (KeyboardInterrupt too) or, for
-    a write's OSError, as a HarnessIOError; and no further chunk starts:
-    a pool's pending chunks are cancelled and its workers have ended by
-    the time the error is caught.  A clean census run afterwards writes
-    the file.  verify's report runs no chunks, so its row is serial."""
+_NOSPACE = functools.partial(OSError, errno.ENOSPC, "No space left on device")
+
+
+def _assert_failed_runs(root, monkeypatch, threads, cases):
+    """Each case leaves the target under ``root`` as it was and no temp
+    file, raises what it should, and starts no further chunk: a pool's
+    pending chunks are cancelled and its workers have ended by the time
+    the error is caught.  A clean census run afterwards writes the file.
+    A case is the runner's name, the chunk that fails, what it raises,
+    what the run raises, the open the writer uses, and the chunks a
+    serial run completes.  verify's report runs no chunks, so its cases
+    run serially only."""
     monkeypatch.setattr(harness, "CHUNK_SIZE", 5)
     n_chunks = 40
-    marks = tmp_path / "marks"
+    marks = root / "marks"
     marks.mkdir()
-    target = tmp_path / "out"
+    target = root / "out"
     runners = {
         "census": functools.partial(run_census, census_cfg(
             n_states=5 * n_chunks, threads=threads, output_path=str(target))),
         "verify": functools.partial(run_protocol_verify, ExperimentConfig(
             experiment="protocol_verify", output_path=str(target))),
     }
-    nospace = functools.partial(OSError, errno.ENOSPC,
-                                "No space left on device")
-    # the runner, the chunk that fails, what it raises, what the run
-    # raises, the open the writer uses, and the chunks a serial run
-    # completes
-    cases = (
-        ("census", 15, ValueError("chunk failed"), ValueError, open, 3),
-        ("census", 15, KeyboardInterrupt(), KeyboardInterrupt, open, 3),
-        ("census", None, None, HarnessIOError,
-         _failing_open(nospace(), half=False), 1),
-        ("census", None, None, HarnessIOError,
-         _failing_open(nospace(), half=True), 1),
-        ("census", None, None, KeyboardInterrupt,
-         _failing_open(KeyboardInterrupt(), half=True), 1),
-        ("verify", None, None, HarnessIOError,
-         _failing_open(nospace(), half=True), 0),
-    )
     for name, fail_at, raised, expected, opener, serial_runs in cases:
         if name == "verify" and threads > 1:
             continue
@@ -646,7 +655,7 @@ def test_failed_run_keeps_previous_output_and_stops(tmp_path, monkeypatch,
         # were running or queued for the two workers ran.
         assert multiprocessing.active_children() == []
         assert target.read_bytes() == b"previous\n"
-        assert sorted(tmp_path.iterdir()) == [marks, target]
+        assert sorted(root.iterdir()) == [marks, target]
         done = len(list(marks.iterdir()))
         if threads == 1:
             assert done == serial_runs, (name, expected)
@@ -655,12 +664,55 @@ def test_failed_run_keeps_previous_output_and_stops(tmp_path, monkeypatch,
         del caught
         for mark in marks.iterdir():
             mark.unlink()
+        monkeypatch.setattr(harness, "_census_chunk", _CENSUS_CHUNK)
+        monkeypatch.delattr(harness, "open")
         if name == "census":
-            monkeypatch.setattr(harness, "_census_chunk", _CENSUS_CHUNK)
-            monkeypatch.delattr(harness, "open")
             runners[name]()
             assert target.read_text().startswith("state_index,")
-            assert sorted(tmp_path.iterdir()) == [marks, target]
+            assert sorted(root.iterdir()) == [marks, target]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_run_keeps_previous_output_and_stops(tmp_path, monkeypatch,
+                                                    threads):
+    """A chunk that raises mid-run propagates its error as it is
+    (KeyboardInterrupt too), and a write whose first piece fails raises
+    a HarnessIOError; the target is untouched and no further chunk
+    starts."""
+    _assert_failed_runs(tmp_path, monkeypatch, threads, (
+        ("census", 15, ValueError("chunk failed"), ValueError, open, 3),
+        ("census", 15, KeyboardInterrupt(), KeyboardInterrupt, open, 3),
+        ("census", None, None, HarnessIOError,
+         _failing_open(_NOSPACE(), half=False), 1),
+    ))
+
+
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch):
+    """An OSError partway through a write, of census serially and on two
+    workers and of verify's report, raises a HarnessIOError and leaves
+    the target byte-identical and no temp file behind."""
+    for threads in (1, 2):
+        root = tmp_path / f"t{threads}"
+        root.mkdir()
+        _assert_failed_runs(root, monkeypatch, threads, (
+            ("census", None, None, HarnessIOError,
+             _failing_open(_NOSPACE(), half=True), 1),
+            ("verify", None, None, HarnessIOError,
+             _failing_open(_NOSPACE(), half=True), 0),
+        ))
+
+
+def test_interrupted_write_reraises_and_cleans_up(tmp_path, monkeypatch):
+    """An exception other than OSError partway through a census write,
+    serially and on two workers, propagates as it is, with the target
+    unchanged and no temp file behind."""
+    for threads in (1, 2):
+        root = tmp_path / f"t{threads}"
+        root.mkdir()
+        _assert_failed_runs(root, monkeypatch, threads, (
+            ("census", None, None, KeyboardInterrupt,
+             _failing_open(KeyboardInterrupt(), half=True), 1),
+        ))
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
